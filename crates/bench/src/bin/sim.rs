@@ -31,7 +31,8 @@
 //! over the pure transition functions the simulator itself executes. It
 //! exits 0 when the outcome matches expectation — clean by default, or a
 //! counterexample found when `--expect-violation` is given — and 1
-//! otherwise (including an exploration truncated by `--max-states`).
+//! otherwise (including an exploration truncated by `--max-states`). A
+//! space the models' packed state cannot hold is a usage error (2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -64,7 +65,9 @@ sim lint    [--json] [--rule <id>]\n\n\
 lint rules: cast-truncate, lock-order, nondet-iter, std-map, unwrap, wall-clock\n  \
 (token-accurate determinism/robustness invariants over crates/*/src; DESIGN.md \u{a7}15)\n\n\
 verify fault kinds: lease-overrun, gtime-regression (ACC);\n  \
-empty-sharers, wrong-owner (MESI)\n\n\
+empty-sharers, wrong-owner (MESI)\n\
+verify limits: ACC 1-3 agents, 1-3 blocks, horizon + largest lease + 1 <= 254;\n  \
+MESI 1-32 agents, 1-8 blocks\n\n\
 robustness flags (compare/sweep):\n  \
 --tile-threads <N>    per-job tile-worker reservation (sweep; echoed in JSON rows)\n  \
 --retries <N>         retry panicked/timed-out jobs up to N extra times\n  \
@@ -751,7 +754,9 @@ fn sweep_epilogue(
 /// Absent options stay `None` so the per-protocol defaults apply. A
 /// fault kind that cannot fire in the selected protocol (e.g. a MESI
 /// directory fault against `--protocol acc`) is a usage error, not a
-/// silently-clean run.
+/// silently-clean run, and so is a spec the models cannot hold (zero or
+/// too many agents or blocks, a horizon past the packed timestamp
+/// width).
 fn verify_spec_from(args: &Args) -> Result<VerifySpec, String> {
     let mut spec = VerifySpec::default();
     if let Some(p) = args.get("protocol") {
@@ -779,6 +784,7 @@ fn verify_spec_from(args: &Args) -> Result<VerifySpec, String> {
         }
         spec.fault = Some(fault);
     }
+    spec.validate()?;
     Ok(spec)
 }
 
@@ -1102,6 +1108,12 @@ mod tests {
         // Against `all` the same fault is fine: it applies to the MESI leg.
         let args = Args::parse(&argv(&["--fault", "wrong-owner@0"])).unwrap();
         assert!(verify_spec_from(&args).unwrap().fault.is_some());
+
+        // Specs outside the models' state capacity.
+        let args = Args::parse(&argv(&["--protocol", "acc", "--agents", "0"])).unwrap();
+        assert!(verify_spec_from(&args).unwrap_err().contains("agents"));
+        let args = Args::parse(&argv(&["--horizon", "1000"])).unwrap();
+        assert!(verify_spec_from(&args).unwrap_err().contains("horizon"));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! 0 on full completion / a clean tree, 1 with a salvage report on
 //! partial completion or with diagnostics on lint findings, 2 on usage
 //! errors such as resuming against a journal from a different code
-//! version or filtering by an unknown lint rule.
+//! version, filtering by an unknown lint rule, or asking `sim verify`
+//! for a space its packed state cannot hold.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -204,6 +205,25 @@ fn lint_unknown_rule_is_a_usage_error() {
     let out = sim(&["lint", "--rule", "bogus-rule"]);
     assert_eq!(exit_code(&out), 2, "{}", stderr(&out));
     assert!(stderr(&out).contains("unknown rule"), "{}", stderr(&out));
+}
+
+#[test]
+fn verify_specs_outside_the_model_capacity_are_usage_errors() {
+    // Zero or too many agents/blocks, or a horizon whose timestamps
+    // overflow the packed state, must be refused before exploring.
+    for (args, needle) in [
+        (["verify", "--protocol", "acc", "--agents", "0"], "agents"),
+        (["verify", "--protocol", "acc", "--blocks", "4"], "blocks"),
+        (
+            ["verify", "--protocol", "acc-renew", "--horizon", "300"],
+            "horizon",
+        ),
+    ] {
+        let out = sim(&args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "{args:?} explored anyway");
+    }
 }
 
 #[test]

@@ -18,6 +18,12 @@
 //! the invalidate-while-leases-live hazard the refetch barrier exists
 //! for); and the checked configurations are small (the standard
 //! small-scope argument for protocol bugs).
+//!
+//! States are stored as [`AccKey`]s: every field packed into one byte
+//! (timestamps, agent ids, flag pairs) with absent optionals as
+//! `u8::MAX`, in a fixed-width array sized for [`MAX_AGENTS`] ×
+//! [`MAX_BLOCKS`]. [`AccModelConfig::validate`] rejects configurations
+//! whose state the key cannot hold.
 
 use std::fmt;
 
@@ -94,7 +100,47 @@ impl AccModelConfig {
     /// exceeding it are pruned (bounded-horizon exploration). The slack
     /// covers the writeback/forward data transfer past the last tick.
     fn value_bound(&self) -> Cycle {
-        Cycle::new(self.horizon + self.max_lease() + DATA_CYCLES)
+        Cycle::new(
+            self.horizon
+                .saturating_add(self.max_lease())
+                .saturating_add(DATA_CYCLES),
+        )
+    }
+
+    /// Checks that every reachable state fits the inline [`AccState`]
+    /// and its packed [`AccKey`]: 1..=[`MAX_AGENTS`] agents,
+    /// 1..=[`MAX_BLOCKS`] blocks, a timestamp bound (`horizon` + largest
+    /// lease + 1) of at most [`MAX_STAMP`], and a planted fault no later
+    /// than event [`MAX_FAULT_EVENT`].
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_AGENTS).contains(&self.agents) {
+            return Err(format!(
+                "the ACC model holds 1 to {MAX_AGENTS} agents, got {}",
+                self.agents
+            ));
+        }
+        if !(1..=MAX_BLOCKS).contains(&self.blocks) {
+            return Err(format!(
+                "the ACC model holds 1 to {MAX_BLOCKS} blocks, got {}",
+                self.blocks
+            ));
+        }
+        let bound = self.value_bound().value();
+        if bound > MAX_STAMP {
+            return Err(format!(
+                "ACC horizon {} bounds timestamps at {bound} (horizon + lease {} + {DATA_CYCLES}), \
+                 past the packed state's limit of {MAX_STAMP}",
+                self.horizon,
+                self.max_lease()
+            ));
+        }
+        if let Some(fault) = self.fault.filter(|f| f.at_event > MAX_FAULT_EVENT) {
+            return Err(format!(
+                "ACC faults fire at event {MAX_FAULT_EVENT} at the latest, got {}",
+                fault.at_event
+            ));
+        }
+        Ok(())
     }
 
     fn forward_consumer_lease(&self) -> u32 {
@@ -102,8 +148,37 @@ impl AccModelConfig {
     }
 }
 
+/// Most agents an ACC model may have (the inline state's capacity).
+pub const MAX_AGENTS: usize = 3;
+/// Most blocks an ACC model may have (the inline state's capacity).
+pub const MAX_BLOCKS: usize = 3;
+/// Largest timestamp a key byte holds; `u8::MAX` marks an absent value.
+pub const MAX_STAMP: u64 = 254;
+/// Latest planted-fault trigger: the 16-bit key field counts grant events
+/// up to `at_event + 1`.
+pub const MAX_FAULT_EVENT: u64 = u16::MAX as u64 - 1;
+
+/// Key byte of an absent optional field. Every present value packs below
+/// it, so absent sorts last — the order the symmetry reduction's orbit
+/// representative is chosen by.
+const ABSENT: u8 = u8::MAX;
+/// Key bytes of one L1X line: gtime, lock end, writer, writeback horizon,
+/// sole holder, last write, flags.
+const LINE_BYTES: usize = 7;
+/// Key bytes of one block: its line, refill barrier and write epoch.
+const BLOCK_BYTES: usize = LINE_BYTES + 1 + 2;
+/// Key bytes of one L0X copy: lease end, acquisition time, flags.
+const COPY_BYTES: usize = 3;
+/// Key width: clock and event counter, then every block, then every copy.
+const KEY_BYTES: usize = 3 + MAX_BLOCKS * BLOCK_BYTES + MAX_AGENTS * MAX_BLOCKS * COPY_BYTES;
+
+/// Index of `agent`'s copy of `block` in [`AccState::l0`].
+fn copy_slot(agent: usize, block: usize) -> usize {
+    agent * MAX_BLOCKS + block
+}
+
 /// One agent's L0X copy of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct L0Copy {
     lease_end: Cycle,
     write_lease: bool,
@@ -112,27 +187,28 @@ struct L0Copy {
 }
 
 /// One L1X line: protocol metadata + the data-dirty bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct L1Line {
     meta: L1Meta,
     dirty: bool,
 }
 
-/// Full abstract tile state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Full abstract tile state, inline: slots past the configured agents
+/// and blocks stay empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccState {
     now: Cycle,
     /// Per-block L1X line.
-    l1: Vec<Option<L1Line>>,
-    /// Agent-major `[agent * blocks + block]` L0X copies.
-    l0: Vec<Option<L0Copy>>,
+    l1: [Option<L1Line>; MAX_BLOCKS],
+    /// Agent-major [`copy_slot`]-indexed L0X copies.
+    l0: [Option<L0Copy>; MAX_AGENTS * MAX_BLOCKS],
     /// Per-block refill barrier after a host forward: the tile may not
     /// refetch the block before the PUTX release time (MESI serializes the
     /// PUTX before the next GetX can be answered).
-    refetch_after: Vec<Cycle>,
+    refetch_after: [Cycle; MAX_BLOCKS],
     /// Shadow (non-hardware) state: the live write epoch's granted start
     /// and writer, for the interval-exclusivity invariant.
-    epoch: Vec<Option<(Cycle, AxcId)>>,
+    epoch: [Option<(Cycle, AxcId)>; MAX_BLOCKS],
     /// Grant events seen, capped just past the planted fault's trigger
     /// (stays 0 when no fault is configured, so it never splits states).
     events: u64,
@@ -187,47 +263,145 @@ impl fmt::Display for AccAction {
     }
 }
 
-/// Every permutation of `0..n` (new index -> old index), for the tiny
-/// `n` the models use; identity only beyond 3.
-fn index_permutations(n: usize) -> Vec<Vec<usize>> {
-    match n {
-        0 | 1 => vec![(0..n).collect()],
-        2 => vec![vec![0, 1], vec![1, 0]],
-        3 => vec![
-            vec![0, 1, 2],
-            vec![0, 2, 1],
-            vec![1, 0, 2],
-            vec![1, 2, 0],
-            vec![2, 0, 1],
-            vec![2, 1, 0],
-        ],
-        _ => vec![(0..n).collect()],
+/// A packed [`AccState`]: one byte per field, fixed width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AccKey([u8; KEY_BYTES]);
+
+/// Every permutation of `0..n` (new index -> old index), in
+/// lexicographic order.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..n {
+        for rest in permutations(n - 1) {
+            let mut p = vec![first];
+            p.extend(rest.into_iter().map(|i| if i >= first { i + 1 } else { i }));
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// An agent × block index permutation the key is packed through.
+struct Perm {
+    /// New agent index -> old.
+    agents: [usize; MAX_AGENTS],
+    /// New block index -> old.
+    blocks: [usize; MAX_BLOCKS],
+    /// Old agent index -> new, as the key byte naming it.
+    rename: [u8; MAX_AGENTS],
+}
+
+impl Perm {
+    fn new(agents: &[usize], blocks: &[usize]) -> Self {
+        let mut perm = Perm {
+            agents: [0; MAX_AGENTS],
+            blocks: [0; MAX_BLOCKS],
+            rename: [0; MAX_AGENTS],
+        };
+        for (new, &old) in agents.iter().enumerate() {
+            perm.agents[new] = old;
+            // `new` < MAX_AGENTS, far below u8::MAX.
+            perm.rename[old] = u8::try_from(new).unwrap_or(ABSENT);
+        }
+        perm.blocks[..blocks.len()].copy_from_slice(blocks);
+        perm
     }
 }
 
-/// Inverts a permutation: `invert(p)[p[i]] == i`.
-fn invert(p: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0; p.len()];
-    for (new, &old) in p.iter().enumerate() {
-        inv[old] = new;
+/// Packs one timestamp. [`AccModelConfig::validate`] bounds every
+/// timestamp of a packed state by [`MAX_STAMP`], so the saturation to
+/// [`ABSENT`] never fires.
+fn stamp(c: Cycle) -> u8 {
+    debug_assert!(c.value() <= MAX_STAMP, "timestamp {c} escaped the bound");
+    u8::try_from(c.value()).unwrap_or(ABSENT)
+}
+
+fn opt_stamp(c: Option<Cycle>) -> u8 {
+    c.map_or(ABSENT, stamp)
+}
+
+fn unstamp(b: u8) -> Cycle {
+    Cycle::new(u64::from(b))
+}
+
+fn opt_unstamp(b: u8) -> Option<Cycle> {
+    (b != ABSENT).then(|| unstamp(b))
+}
+
+fn flags(high: bool, low: bool) -> u8 {
+    u8::from(high) << 1 | u8::from(low)
+}
+
+/// Sequential writer over a key's bytes.
+struct Packer {
+    key: [u8; KEY_BYTES],
+    pos: usize,
+}
+
+impl Packer {
+    fn put(&mut self, bytes: &[u8]) {
+        self.key[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
     }
-    inv
+}
+
+/// Sequential reader over a key's bytes.
+struct Unpacker<'a> {
+    key: &'a [u8; KEY_BYTES],
+    pos: usize,
+}
+
+impl Unpacker<'_> {
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0; N];
+        out.copy_from_slice(&self.key[self.pos..self.pos + N]);
+        self.pos += N;
+        out
+    }
 }
 
 /// The ACC model: drives [`fusion_coherence::transition`] over
 /// [`AccState`].
 pub struct AccModel {
     cfg: AccModelConfig,
+    /// The permutations a state's key is packed through, identity first.
+    /// Murphi-style symmetry reduction: with forwarding off and no
+    /// planted fault, every transition rule and invariant is blind to
+    /// agent and block identity, so states related by an index
+    /// permutation are bisimilar — every agent × block permutation is
+    /// listed, and a state's key is the smallest key of its orbit.
+    /// (Forwarding pins A0 -> A1 on block 0 and fault planting addresses
+    /// `agent ^ 1`, so both break the automorphism: identity only.)
+    perms: Vec<Perm>,
 }
 
 impl AccModel {
     /// Builds a model for `cfg`.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`AccModelConfig::validate`].
     pub fn new(cfg: AccModelConfig) -> Self {
-        AccModel { cfg }
+        if let Err(e) = cfg.validate() {
+            panic!("invalid ACC model configuration: {e}");
+        }
+        let identity = |n: usize| vec![(0..n).collect::<Vec<_>>()];
+        let (aperms, bperms) = if cfg.fault.is_none() && !cfg.forwarding {
+            (permutations(cfg.agents), permutations(cfg.blocks))
+        } else {
+            (identity(cfg.agents), identity(cfg.blocks))
+        };
+        let perms = aperms
+            .iter()
+            .flat_map(|pa| bperms.iter().map(move |pb| Perm::new(pa, pb)))
+            .collect();
+        AccModel { cfg, perms }
     }
 
     fn slot(&self, agent: AxcId, block: usize) -> usize {
-        agent.index() * self.cfg.blocks + block
+        copy_slot(agent.index(), block)
     }
 
     /// Counts a grant event and applies the planted fault when it fires.
@@ -376,7 +550,7 @@ impl AccModel {
         write: bool,
         lease: u32,
     ) -> Option<AccState> {
-        let mut st = s.clone();
+        let mut st = *s;
         let now = st.now;
         let slot = self.slot(agent, block);
         if let Some(copy) = st.l0[slot] {
@@ -389,22 +563,18 @@ impl AccModel {
                             ..copy
                         });
                     }
-                    return Some(self.canonical(st));
+                    return Some(st);
                 }
                 // Write upgrade of a read lease: new epoch request; the
                 // grant overwrites the copy in place.
-                return self
-                    .request_epoch(st, agent, block, write, lease)
-                    .map(|st| self.canonical(st));
+                return self.request_epoch(st, agent, block, write, lease);
             }
             // Lease expired: renew if provably current, else invalidate
             // (writing back dirty data) and refetch.
             let renewable = self.cfg.renewal
                 && st.l1[block].is_some_and(|l| copy.dirty || l.meta.last_write <= copy.acquired);
             if renewable {
-                return self
-                    .renew(st, agent, block, write, lease, copy.dirty)
-                    .map(|st| self.canonical(st));
+                return self.renew(st, agent, block, write, lease, copy.dirty);
             }
             st.l0[slot] = None;
             if copy.dirty {
@@ -412,11 +582,10 @@ impl AccModel {
             }
         }
         self.request_epoch(st, agent, block, write, lease)
-            .map(|st| self.canonical(st))
     }
 
     fn apply_downgrade(&self, s: &AccState, agent: AxcId) -> AccState {
-        let mut st = s.clone();
+        let mut st = *s;
         let now = st.now;
         // Dirty sweep: truncate the write epoch, then write back (or
         // forward, under FUSION-Dx).
@@ -452,34 +621,33 @@ impl AccModel {
                 line.meta = acc_release_lease(line.meta, agent, now);
             }
         }
-        self.canonical(st)
+        st
     }
 
     fn apply_host_forward(&self, s: &AccState, block: usize) -> Option<AccState> {
         let line = s.l1[block]?;
-        let mut st = s.clone();
+        let mut st = *s;
         let rel = acc_host_release(&line.meta, line.dirty, st.now, DATA_CYCLES);
         // L0 dirty data is collected with the response; the copies stay
         // resident and self-invalidate at lease end.
         for agent in 0..self.cfg.agents {
-            let slot = agent * self.cfg.blocks + block;
-            if let Some(copy) = st.l0[slot].as_mut() {
+            if let Some(copy) = st.l0[copy_slot(agent, block)].as_mut() {
                 copy.dirty = false;
             }
         }
         st.l1[block] = None;
         st.epoch[block] = None;
         st.refetch_after[block] = rel.release_at;
-        Some(self.canonical(st))
+        Some(st)
     }
 
-    /// Behavior-preserving state canonicalization, so equivalent states
+    /// Behavior-preserving state normalization, so equivalent states
     /// dedup: stale writeback horizons are dropped (the data has landed
     /// and the line is already dirty), `last_write` is scrubbed when the
     /// renewal extension is off (nothing reads it), and expired clean
     /// copies are dropped in non-renewal mode (a miss treats them exactly
     /// like an absent line).
-    fn canonical(&self, mut st: AccState) -> AccState {
+    fn normalize(&self, st: &mut AccState) {
         let now = st.now;
         for line in st.l1.iter_mut().flatten() {
             if line.meta.wb_ready_at.is_some_and(|wb| wb < now) {
@@ -513,119 +681,111 @@ impl AccModel {
                 *barrier = Cycle::ZERO;
             }
         }
-        // Murphi-style symmetry reduction: with forwarding off and no
-        // planted fault, every transition rule and invariant is blind to
-        // agent and block identity, so states related by an index
-        // permutation are bisimilar — keep only the lexicographically
-        // smallest representative of each orbit. (Forwarding pins
-        // A0 -> A1 on block 0 and fault planting addresses `agent ^ 1`,
-        // so both break the automorphism and disable the reduction.)
-        if self.cfg.fault.is_none() && !self.cfg.forwarding {
-            self.reduce_symmetry(&mut st);
+    }
+
+    /// Packs `st` as seen through `perm`. Field order per block, then per
+    /// agent-major copy, is the order orbit representatives are compared
+    /// in; only the configured agents and blocks are written, the rest of
+    /// the key stays zero.
+    fn pack(&self, st: &AccState, perm: &Perm) -> AccKey {
+        let agent = |a: Option<AxcId>| a.map_or(ABSENT, |a| perm.rename[a.index()]);
+        // The event counter is bounded by `MAX_FAULT_EVENT + 1`.
+        let events = u16::try_from(st.events).unwrap_or(u16::MAX);
+        let mut out = Packer {
+            key: [0; KEY_BYTES],
+            pos: 0,
+        };
+        out.put(&[stamp(st.now)]);
+        out.put(&events.to_be_bytes());
+        let blocks = &perm.blocks[..self.cfg.blocks];
+        for &ob in blocks {
+            match st.l1[ob] {
+                None => out.put(&[ABSENT; LINE_BYTES]),
+                Some(line) => {
+                    let m = line.meta;
+                    out.put(&[
+                        stamp(m.gtime),
+                        opt_stamp(m.write_locked_until),
+                        agent(m.writer),
+                        opt_stamp(m.wb_ready_at),
+                        agent(m.sole_holder),
+                        stamp(m.last_write),
+                        flags(m.prefetched, line.dirty),
+                    ]);
+                }
+            }
+            out.put(&[stamp(st.refetch_after[ob])]);
+            match st.epoch[ob] {
+                None => out.put(&[ABSENT; 2]),
+                Some((start, writer)) => out.put(&[stamp(start), agent(Some(writer))]),
+            }
+        }
+        for &oa in &perm.agents[..self.cfg.agents] {
+            for &ob in blocks {
+                match st.l0[copy_slot(oa, ob)] {
+                    None => out.put(&[ABSENT; COPY_BYTES]),
+                    Some(c) => out.put(&[
+                        stamp(c.lease_end),
+                        stamp(c.acquired),
+                        flags(c.write_lease, c.dirty),
+                    ]),
+                }
+            }
+        }
+        AccKey(out.key)
+    }
+
+    /// Inverse of packing through the identity permutation.
+    fn unpack(&self, key: &AccKey) -> AccState {
+        let mut input = Unpacker {
+            key: &key.0,
+            pos: 0,
+        };
+        let mut st = self.initial();
+        let [now, events_hi, events_lo] = input.take();
+        st.now = unstamp(now);
+        st.events = u64::from(u16::from_be_bytes([events_hi, events_lo]));
+        let agent = |b: u8| (b != ABSENT).then(|| AxcId::new(u16::from(b)));
+        for block in 0..self.cfg.blocks {
+            let [gtime, lock, writer, wb, sole, last_write, bits] = input.take();
+            st.l1[block] = (gtime != ABSENT).then(|| L1Line {
+                meta: L1Meta {
+                    prefetched: bits & 2 != 0,
+                    gtime: unstamp(gtime),
+                    write_locked_until: opt_unstamp(lock),
+                    writer: agent(writer),
+                    wb_ready_at: opt_unstamp(wb),
+                    sole_holder: agent(sole),
+                    last_write: unstamp(last_write),
+                },
+                dirty: bits & 1 != 0,
+            });
+            let [barrier] = input.take();
+            st.refetch_after[block] = unstamp(barrier);
+            let [start, writer] = input.take();
+            st.epoch[block] = opt_unstamp(start).zip(agent(writer));
+        }
+        for a in 0..self.cfg.agents {
+            for block in 0..self.cfg.blocks {
+                let [lease_end, acquired, bits] = input.take();
+                st.l0[copy_slot(a, block)] = (lease_end != ABSENT).then(|| L0Copy {
+                    lease_end: unstamp(lease_end),
+                    write_lease: bits & 2 != 0,
+                    dirty: bits & 1 != 0,
+                    acquired: unstamp(acquired),
+                });
+            }
         }
         st
     }
 
-    /// Rewrites `st` to the minimal representative of its symmetry orbit
-    /// under agent and block permutations.
-    fn reduce_symmetry(&self, st: &mut AccState) {
-        let aperms = index_permutations(self.cfg.agents);
-        let bperms = index_permutations(self.cfg.blocks);
-        if aperms.len() <= 1 && bperms.len() <= 1 {
-            return;
-        }
-        let mut best_key = Vec::new();
-        let mut key = Vec::new();
-        let mut best: Option<(&[usize], &[usize])> = None;
-        for pa in &aperms {
-            for pb in &bperms {
-                self.encode_permuted(st, pa, pb, &mut key);
-                if best.is_none() || key < best_key {
-                    std::mem::swap(&mut best_key, &mut key);
-                    best = Some((pa, pb));
-                }
-            }
-        }
-        if let Some((pa, pb)) = best {
-            let identity = pa.iter().enumerate().all(|(i, &o)| i == o)
-                && pb.iter().enumerate().all(|(i, &o)| i == o);
-            if !identity {
-                *st = self.permuted(st, pa, pb);
-            }
-        }
-    }
-
-    /// Encodes the state as seen through the permutation (`pa`/`pb` map
-    /// new index -> old index) into a flat `u64` key for orbit comparison.
-    fn encode_permuted(&self, st: &AccState, pa: &[usize], pb: &[usize], out: &mut Vec<u64>) {
-        let inv = invert(pa);
-        let agent = |a: AxcId| inv[a.index()] as u64;
-        let opt_cycle = |c: Option<Cycle>| c.map_or(u64::MAX, |c| c.value());
-        out.clear();
-        for &ob in pb {
-            match &st.l1[ob] {
-                None => out.push(u64::MAX),
-                Some(line) => {
-                    out.push(line.meta.gtime.value());
-                    out.push(opt_cycle(line.meta.write_locked_until));
-                    out.push(line.meta.writer.map_or(u64::MAX, agent));
-                    out.push(opt_cycle(line.meta.wb_ready_at));
-                    out.push(line.meta.sole_holder.map_or(u64::MAX, agent));
-                    out.push(line.meta.last_write.value());
-                    out.push(u64::from(line.meta.prefetched) << 1 | u64::from(line.dirty));
-                }
-            }
-            out.push(st.refetch_after[ob].value());
-            match st.epoch[ob] {
-                None => out.push(u64::MAX),
-                Some((start, writer)) => {
-                    out.push(start.value());
-                    out.push(agent(writer));
-                }
-            }
-        }
-        for &oa in pa {
-            for &ob in pb {
-                match &st.l0[oa * self.cfg.blocks + ob] {
-                    None => out.push(u64::MAX),
-                    Some(copy) => {
-                        out.push(copy.lease_end.value());
-                        out.push(copy.acquired.value());
-                        out.push(u64::from(copy.write_lease) << 1 | u64::from(copy.dirty));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds the state permuted by `pa`/`pb` (new index -> old index),
-    /// renaming agent ids embedded in the metadata accordingly.
-    fn permuted(&self, st: &AccState, pa: &[usize], pb: &[usize]) -> AccState {
-        let inv = invert(pa);
-        let rename = |a: AxcId| AxcId::new(inv[a.index()] as u16);
-        AccState {
-            now: st.now,
-            l1: pb
-                .iter()
-                .map(|&ob| {
-                    st.l1[ob].map(|mut line| {
-                        line.meta.writer = line.meta.writer.map(rename);
-                        line.meta.sole_holder = line.meta.sole_holder.map(rename);
-                        line
-                    })
-                })
-                .collect(),
-            l0: pa
-                .iter()
-                .flat_map(|&oa| pb.iter().map(move |&ob| st.l0[oa * self.cfg.blocks + ob]))
-                .collect(),
-            refetch_after: pb.iter().map(|&ob| st.refetch_after[ob]).collect(),
-            epoch: pb
-                .iter()
-                .map(|&ob| st.epoch[ob].map(|(start, writer)| (start, rename(writer))))
-                .collect(),
-            events: st.events,
-        }
+    /// The smallest key of `st`'s symmetry orbit (with symmetry off,
+    /// just its key).
+    fn canonical_key(&self, st: &AccState) -> AccKey {
+        let identity = self.pack(st, &self.perms[0]);
+        self.perms[1..]
+            .iter()
+            .fold(identity, |best, perm| best.min(self.pack(st, perm)))
     }
 
     fn exceeds_bound(&self, st: &AccState) -> bool {
@@ -652,17 +812,26 @@ impl AccModel {
 
 impl Model for AccModel {
     type State = AccState;
+    type Key = AccKey;
     type Action = AccAction;
 
     fn initial(&self) -> AccState {
         AccState {
             now: Cycle::ZERO,
-            l1: vec![None; self.cfg.blocks],
-            l0: vec![None; self.cfg.agents * self.cfg.blocks],
-            refetch_after: vec![Cycle::ZERO; self.cfg.blocks],
-            epoch: vec![None; self.cfg.blocks],
+            l1: [None; MAX_BLOCKS],
+            l0: [None; MAX_AGENTS * MAX_BLOCKS],
+            refetch_after: [Cycle::ZERO; MAX_BLOCKS],
+            epoch: [None; MAX_BLOCKS],
             events: 0,
         }
+    }
+
+    fn key(&self, state: &AccState) -> AccKey {
+        self.canonical_key(state)
+    }
+
+    fn state(&self, key: &AccKey) -> AccState {
+        self.unpack(key)
     }
 
     fn actions(&self, _state: &AccState, out: &mut Vec<AccAction>) {
@@ -690,14 +859,14 @@ impl Model for AccModel {
     }
 
     fn apply(&self, state: &AccState, action: &AccAction) -> Option<AccState> {
-        let next = match *action {
+        let mut next = match *action {
             AccAction::Tick => {
                 if state.now.value() >= self.cfg.horizon {
                     return None;
                 }
-                let mut st = state.clone();
+                let mut st = *state;
                 st.now += 1;
-                Some(self.canonical(st))
+                Some(st)
             }
             AccAction::Access {
                 agent,
@@ -708,10 +877,10 @@ impl Model for AccModel {
             AccAction::Downgrade { agent } => Some(self.apply_downgrade(state, AxcId::new(agent))),
             AccAction::HostForward { block } => self.apply_host_forward(state, block),
         }?;
-        if next == *state || self.exceeds_bound(&next) {
-            return None; // self-loops and out-of-bound states are pruned
-        }
-        Some(next)
+        self.normalize(&mut next);
+        // Out-of-bound states are pruned here, before any packing: their
+        // timestamps may not fit a key byte.
+        (!self.exceeds_bound(&next)).then_some(next)
     }
 
     fn check(&self, st: &AccState) -> Option<Violation> {
@@ -728,7 +897,7 @@ impl Model for AccModel {
                 });
             }
             for agent in 0..self.cfg.agents {
-                let Some(copy) = st.l0[agent * self.cfg.blocks + block] else {
+                let Some(copy) = st.l0[copy_slot(agent, block)] else {
                     continue;
                 };
                 // Lease containment: every live L0 lease is covered by
@@ -755,7 +924,7 @@ impl Model for AccModel {
                         if AxcId::new(agent as u16) == writer {
                             continue;
                         }
-                        let Some(copy) = st.l0[agent * self.cfg.blocks + block] else {
+                        let Some(copy) = st.l0[copy_slot(agent, block)] else {
                             continue;
                         };
                         if copy.acquired < lock_end && start < copy.lease_end {
@@ -789,7 +958,7 @@ impl Model for AccModel {
 
     fn render(&self, st: &AccState) -> Vec<(String, String)> {
         let mut out = vec![("now".to_string(), st.now.value().to_string())];
-        for (block, line) in st.l1.iter().enumerate() {
+        for (block, line) in st.l1[..self.cfg.blocks].iter().enumerate() {
             let value = match line {
                 None => {
                     let barrier = st.refetch_after[block];
@@ -820,7 +989,7 @@ impl Model for AccModel {
         }
         for agent in 0..self.cfg.agents {
             for block in 0..self.cfg.blocks {
-                let value = match st.l0[agent * self.cfg.blocks + block] {
+                let value = match st.l0[copy_slot(agent, block)] {
                     None => "-".to_string(),
                     Some(c) => format!(
                         "[{}, {}]{}{}",
@@ -841,6 +1010,136 @@ impl Model for AccModel {
 mod tests {
     use super::*;
     use crate::explore::explore;
+    use fusion_types::hash::FxHashSet;
+
+    /// Every state the explorer would store for `model` (one
+    /// representative per key), by a plain BFS over the `Model` API that
+    /// ignores invariants.
+    fn reachable(model: &AccModel) -> Vec<AccState> {
+        let mut states = vec![model.initial()];
+        let mut seen: FxHashSet<AccKey> = states.iter().map(|s| model.key(s)).collect();
+        let mut actions = Vec::new();
+        let mut i = 0;
+        while i < states.len() {
+            let st = states[i];
+            i += 1;
+            actions.clear();
+            model.actions(&st, &mut actions);
+            for action in &actions {
+                if let Some(next) = model.apply(&st, action) {
+                    let key = model.key(&next);
+                    if seen.insert(key) {
+                        states.push(model.state(&key));
+                    }
+                }
+            }
+        }
+        states
+    }
+
+    /// Independent oracle for the packing permutation: `st` with agents
+    /// and blocks renamed by `pa` / `pb` (new index -> old index).
+    fn permuted(st: &AccState, pa: &[usize], pb: &[usize]) -> AccState {
+        let mut new_of = [0u16; MAX_AGENTS];
+        for (new, &old) in pa.iter().enumerate() {
+            new_of[old] = new as u16;
+        }
+        let rename = |a: AxcId| AxcId::new(new_of[a.index()]);
+        let mut out = *st;
+        for (nb, &ob) in pb.iter().enumerate() {
+            out.l1[nb] = st.l1[ob].map(|mut line| {
+                line.meta.writer = line.meta.writer.map(rename);
+                line.meta.sole_holder = line.meta.sole_holder.map(rename);
+                line
+            });
+            out.refetch_after[nb] = st.refetch_after[ob];
+            out.epoch[nb] = st.epoch[ob].map(|(start, writer)| (start, rename(writer)));
+            for (na, &oa) in pa.iter().enumerate() {
+                out.l0[copy_slot(na, nb)] = st.l0[copy_slot(oa, ob)];
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packing_round_trips_every_reachable_state() {
+        let fault = Some(ProtocolFault {
+            at_event: 2,
+            kind: ProtocolFaultKind::GtimeRegression,
+        });
+        for (label, cfg, states) in [
+            (
+                "acc-dx",
+                AccModelConfig {
+                    forwarding: true,
+                    ..AccModelConfig::small()
+                },
+                Some(12_521),
+            ),
+            (
+                "acc-renew",
+                AccModelConfig {
+                    renewal: true,
+                    ..AccModelConfig::small()
+                },
+                Some(18_645),
+            ),
+            // A planted fault exercises the event counter's key bytes.
+            (
+                "acc+fault",
+                AccModelConfig {
+                    fault,
+                    ..AccModelConfig::small()
+                },
+                None,
+            ),
+        ] {
+            let model = AccModel::new(cfg);
+            let reached = reachable(&model);
+            if let Some(n) = states {
+                assert_eq!(reached.len(), n, "{label}: reachable space changed");
+            }
+            for st in &reached {
+                let key = model.key(st);
+                assert_eq!(model.state(&key), *st, "{label}: {st:?}");
+                assert_eq!(model.key(&model.state(&key)), key, "{label}: {st:?}");
+            }
+            if label == "acc+fault" {
+                assert!(reached.iter().any(|s| s.events > 0));
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_key_is_the_same_across_each_orbit() {
+        for (agents, blocks, horizon) in [(2, 2, 1), (3, 1, 2)] {
+            let model = AccModel::new(AccModelConfig {
+                agents,
+                blocks,
+                horizon,
+                leases: vec![1],
+                ..AccModelConfig::small()
+            });
+            let mut moved = 0;
+            for st in reachable(&model) {
+                let key = model.key(&st);
+                // Stored states are their orbit's representative: their
+                // unpermuted packing is the orbit's key.
+                assert_eq!(model.pack(&st, &model.perms[0]), key);
+                for pa in permutations(agents) {
+                    for pb in permutations(blocks) {
+                        let image = permuted(&st, &pa, &pb);
+                        moved += usize::from(image != st);
+                        assert_eq!(model.key(&image), key, "{st:?} via {pa:?} {pb:?}");
+                    }
+                }
+            }
+            assert!(
+                moved > 0,
+                "{agents}x{blocks}: no state has a non-trivial orbit"
+            );
+        }
+    }
 
     #[test]
     fn tiny_config_verifies_clean() {

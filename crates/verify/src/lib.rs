@@ -171,12 +171,32 @@ impl VerifyReport {
     }
 }
 
-fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
+impl VerifySpec {
+    /// Checks that every protocol this spec selects can be explored:
+    /// the agent and block counts, horizon and fault trigger must fit
+    /// the model's state (see [`AccModelConfig::validate`] and
+    /// [`MesiModelConfig::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        for proto in self.protocol.members() {
+            match model_config(proto, self) {
+                ModelConfig::Acc(cfg) => cfg.validate(),
+                ModelConfig::Mesi(cfg) => cfg.validate(),
+            }
+            .map_err(|e| format!("{}: {e}", proto.name()))?;
+        }
+        Ok(())
+    }
+}
+
+/// The model configuration one protocol of a spec explores.
+enum ModelConfig {
+    Acc(AccModelConfig),
+    Mesi(MesiModelConfig),
+}
+
+fn model_config(proto: VerifyProtocol, spec: &VerifySpec) -> ModelConfig {
     let fault = spec.fault.filter(|f| fault_matches_protocol(f.kind, proto));
-    // lint:allow-wall-clock — exploration wall time is reported to the
-    // operator only; verdicts depend solely on the explored state space.
-    let start = Instant::now();
-    let exploration = if proto.is_acc() {
+    if proto.is_acc() {
         let mut cfg = if proto == VerifyProtocol::Acc {
             AccModelConfig::two_block()
         } else {
@@ -194,7 +214,7 @@ fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
         cfg.forwarding = proto == VerifyProtocol::AccDx;
         cfg.renewal = proto == VerifyProtocol::AccRenew;
         cfg.fault = fault;
-        explore(&AccModel::new(cfg), spec.max_states)
+        ModelConfig::Acc(cfg)
     } else {
         let mut cfg = MesiModelConfig::small();
         if let Some(agents) = spec.agents {
@@ -204,7 +224,17 @@ fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
             cfg.blocks = blocks;
         }
         cfg.fault = fault;
-        explore(&MesiModel::new(cfg), spec.max_states)
+        ModelConfig::Mesi(cfg)
+    }
+}
+
+fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
+    // lint:allow-wall-clock — exploration wall time is reported to the
+    // operator only; verdicts depend solely on the explored state space.
+    let start = Instant::now();
+    let exploration = match model_config(proto, spec) {
+        ModelConfig::Acc(cfg) => explore(&AccModel::new(cfg), spec.max_states),
+        ModelConfig::Mesi(cfg) => explore(&MesiModel::new(cfg), spec.max_states),
     };
     ProtocolReport {
         protocol: proto.name(),
@@ -214,6 +244,9 @@ fn run_one(proto: VerifyProtocol, spec: &VerifySpec) -> ProtocolReport {
 }
 
 /// Runs the exhaustive check described by `spec`.
+///
+/// # Panics
+/// If `spec` fails [`VerifySpec::validate`].
 pub fn run(spec: &VerifySpec) -> VerifyReport {
     let protocols = spec.protocol.members().into_iter();
     VerifyReport {
@@ -371,6 +404,68 @@ mod tests {
                 start.elapsed()
             );
         }
+    }
+
+    #[test]
+    fn validate_rejects_specs_the_models_cannot_hold() {
+        let spec = |protocol, agents, blocks, horizon| VerifySpec {
+            protocol,
+            agents,
+            blocks,
+            horizon,
+            ..VerifySpec::default()
+        };
+        assert_eq!(VerifySpec::default().validate(), Ok(()));
+        let max_horizon = acc_model::MAX_STAMP - 3; // + lease 2 + data 1
+        for ok in [
+            spec(
+                VerifyProtocol::Acc,
+                Some(acc_model::MAX_AGENTS),
+                Some(1),
+                None,
+            ),
+            spec(
+                VerifyProtocol::AccDx,
+                Some(1),
+                Some(acc_model::MAX_BLOCKS),
+                None,
+            ),
+            spec(VerifyProtocol::AccRenew, None, None, Some(max_horizon)),
+        ] {
+            assert_eq!(ok.validate(), Ok(()), "{ok:?}");
+        }
+        for (bad, needle) in [
+            (spec(VerifyProtocol::Acc, Some(0), None, None), "agents"),
+            (spec(VerifyProtocol::All, Some(4), None, None), "agents"),
+            (spec(VerifyProtocol::AccDx, None, Some(0), None), "blocks"),
+            (spec(VerifyProtocol::Acc, None, Some(4), None), "blocks"),
+            (spec(VerifyProtocol::Mesi, None, Some(9), None), "blocks"),
+            (spec(VerifyProtocol::Mesi, Some(0), None, None), "agents"),
+            (
+                spec(VerifyProtocol::AccRenew, None, None, Some(max_horizon + 1)),
+                "horizon",
+            ),
+            (
+                spec(VerifyProtocol::Acc, None, None, Some(u64::MAX)),
+                "horizon",
+            ),
+        ] {
+            let err = bad.validate().expect_err("outside the model's capacity");
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
+        let late_fault = VerifySpec {
+            protocol: VerifyProtocol::Acc,
+            fault: parse_fault("lease-overrun@65535"),
+            ..VerifySpec::default()
+        };
+        assert!(late_fault.validate().is_err());
+        // The same trigger is fine for the directory model's u64 counter.
+        let mesi_fault = VerifySpec {
+            protocol: VerifyProtocol::Mesi,
+            fault: parse_fault("wrong-owner@65535"),
+            ..VerifySpec::default()
+        };
+        assert_eq!(mesi_fault.validate(), Ok(()));
     }
 
     #[test]

@@ -36,7 +36,32 @@ pub struct MesiModelConfig {
     pub fault: Option<ProtocolFault>,
 }
 
+/// Most agents the directory model may have: sharer lists are `u32`
+/// agent bitmasks.
+pub const MAX_AGENTS: usize = 32;
+/// Most blocks the directory model may have: each agent's cache is a
+/// `u8` block bitmask.
+pub const MAX_BLOCKS: usize = 8;
+
 impl MesiModelConfig {
+    /// Checks that the directory state can hold `self`:
+    /// 1..=[`MAX_AGENTS`] agents and 1..=[`MAX_BLOCKS`] blocks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=MAX_AGENTS).contains(&self.agents) {
+            return Err(format!(
+                "the MESI model holds 1 to {MAX_AGENTS} agents, got {}",
+                self.agents
+            ));
+        }
+        if !(1..=MAX_BLOCKS).contains(&self.blocks) {
+            return Err(format!(
+                "the MESI model holds 1 to {MAX_BLOCKS} blocks, got {}",
+                self.blocks
+            ));
+        }
+        Ok(())
+    }
+
     /// The default small configuration: 2 agents, 2 blocks, 1-entry L2
     /// (every second fill recalls).
     pub fn small() -> Self {
@@ -118,7 +143,13 @@ pub struct MesiModel {
 
 impl MesiModel {
     /// Builds a model for `cfg`.
+    ///
+    /// # Panics
+    /// If `cfg` fails [`MesiModelConfig::validate`].
     pub fn new(cfg: MesiModelConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid MESI model configuration: {e}");
+        }
         MesiModel { cfg }
     }
 
@@ -219,6 +250,8 @@ impl MesiModel {
 
 impl Model for MesiModel {
     type State = MesiState;
+    /// The directory space is tiny: states are stored as they are.
+    type Key = MesiState;
     type Action = MesiAction;
 
     fn initial(&self) -> MesiState {
@@ -228,6 +261,14 @@ impl Model for MesiModel {
             cached: vec![0; self.cfg.agents],
             events: 0,
         }
+    }
+
+    fn key(&self, state: &MesiState) -> MesiState {
+        state.clone()
+    }
+
+    fn state(&self, key: &MesiState) -> MesiState {
+        key.clone()
     }
 
     fn actions(&self, _state: &MesiState, out: &mut Vec<MesiAction>) {
@@ -248,18 +289,14 @@ impl Model for MesiModel {
     }
 
     fn apply(&self, state: &MesiState, action: &MesiAction) -> Option<MesiState> {
-        let next = match *action {
+        match *action {
             MesiAction::Request {
                 agent,
                 block,
                 exclusive,
             } => Some(self.apply_request(state, AgentId(agent), block, exclusive)),
             MesiAction::Evict { agent, block } => self.apply_evict(state, AgentId(agent), block),
-        }?;
-        if next == *state {
-            return None; // self-loop (e.g. repeated same-owner request)
         }
-        Some(next)
     }
 
     fn check(&self, st: &MesiState) -> Option<Violation> {

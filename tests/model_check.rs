@@ -8,7 +8,10 @@
 //!
 //! The CI `verify` job runs the larger cross-block spaces through
 //! `sim verify`; this suite keeps tier-1 `cargo test` fast by pinning
-//! the ACC models to their single-block configurations.
+//! the ACC models to their single-block configurations. The explored
+//! counts and the rendered counterexamples are pinned exactly, so a
+//! change to the explorer or the state encoding that alters what is
+//! explored — not just whether it verifies — fails here.
 
 mod common;
 
@@ -18,7 +21,9 @@ use common::Rng;
 use fusion_repro::coherence::transition::{agents_of, dir_transition};
 use fusion_repro::coherence::{AgentId, DirState, DirectoryMesi, MesiReq};
 use fusion_repro::types::{PhysAddr, ProtocolFaultKind, CACHE_BLOCK_BYTES};
-use fusion_repro::verify::{fault_matches_protocol, parse_fault, run, VerifyProtocol, VerifySpec};
+use fusion_repro::verify::{
+    fault_matches_protocol, parse_fault, render_json, render_text, run, VerifyProtocol, VerifySpec,
+};
 
 /// A spec that closes quickly in debug builds: single-block ACC spaces,
 /// the default capacity-1 MESI directory.
@@ -57,6 +62,94 @@ fn shipped_protocols_verify_clean() {
             p.exploration.violation.as_ref().map(|c| &c.violation)
         );
         assert!(p.exploration.states > 1, "{}: degenerate space", p.protocol);
+    }
+}
+
+/// Exact `(states, transitions, depth)` of every `fast_spec` space. The
+/// counts are a fingerprint of the explored space: symmetry reduction,
+/// canonicalization and the bound prune all show up in them.
+#[test]
+fn fast_spec_counts_are_pinned() {
+    for (protocol, expected) in [
+        (VerifyProtocol::Acc, (2_185, 7_715, 13)),
+        (VerifyProtocol::AccDx, (12_521, 55_102, 15)),
+        (VerifyProtocol::AccRenew, (18_645, 87_091, 13)),
+        (VerifyProtocol::Mesi, (13, 100, 3)),
+    ] {
+        let report = run(&fast_spec(protocol));
+        let e = &report.protocols[0].exploration;
+        assert_eq!(
+            (e.states, e.transitions, e.depth),
+            expected,
+            "{protocol:?}: explored space changed"
+        );
+    }
+}
+
+/// Renders a report the way `sim verify` prints it (`--json` adds a
+/// trailing newline), with the wall-clock seconds zeroed in the text
+/// and stripped from the JSON so the output is reproducible.
+fn render_without_seconds(spec: &VerifySpec) -> (String, String) {
+    let mut report = run(spec);
+    for p in &mut report.protocols {
+        p.seconds = 0.0;
+    }
+    let json = format!("{}\n", render_json(&report)).replace("\"seconds\":0.000,", "");
+    (render_text(&report), json)
+}
+
+/// `sim verify` output for planted faults, captured as fixtures under
+/// `tests/golden/verify/`: the minimal counterexample, its per-step
+/// diffs and the explored counts must reproduce byte-for-byte.
+#[test]
+fn planted_fault_counterexamples_match_golden_output() {
+    const CASES: [(&str, &str, Option<usize>, &str, &str); 5] = [
+        (
+            "acc",
+            "lease-overrun@1",
+            Some(1),
+            include_str!("golden/verify/acc_b1_lease-overrun_1.txt"),
+            include_str!("golden/verify/acc_b1_lease-overrun_1.json"),
+        ),
+        (
+            "acc",
+            "gtime-regression@1",
+            Some(1),
+            include_str!("golden/verify/acc_b1_gtime-regression_1.txt"),
+            include_str!("golden/verify/acc_b1_gtime-regression_1.json"),
+        ),
+        (
+            "acc-dx",
+            "lease-overrun@1",
+            None,
+            include_str!("golden/verify/acc-dx_lease-overrun_1.txt"),
+            include_str!("golden/verify/acc-dx_lease-overrun_1.json"),
+        ),
+        (
+            "acc-renew",
+            "lease-overrun@1",
+            None,
+            include_str!("golden/verify/acc-renew_lease-overrun_1.txt"),
+            include_str!("golden/verify/acc-renew_lease-overrun_1.json"),
+        ),
+        (
+            "mesi",
+            "wrong-owner@0",
+            None,
+            include_str!("golden/verify/mesi_wrong-owner_0.txt"),
+            include_str!("golden/verify/mesi_wrong-owner_0.json"),
+        ),
+    ];
+    for (protocol, fault, blocks, text, json) in CASES {
+        let spec = VerifySpec {
+            protocol: VerifyProtocol::parse(protocol).expect("known protocol"),
+            blocks,
+            fault: parse_fault(fault),
+            ..VerifySpec::default()
+        };
+        let (got_text, got_json) = render_without_seconds(&spec);
+        assert_eq!(got_text, text, "{protocol} {fault}: text output drifted");
+        assert_eq!(got_json, json, "{protocol} {fault}: JSON output drifted");
     }
 }
 
