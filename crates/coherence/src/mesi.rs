@@ -127,6 +127,43 @@ pub struct DirectoryMesi {
     /// Opt-in runtime invariant checker (DESIGN.md §10). `None` on the
     /// trusted path: `request` pays one predictable branch.
     checker: Option<Box<ProtocolChecker>>,
+    /// Opt-in log of the L2 sets mutated since it was last cleared
+    /// (DESIGN.md §12). `None` outside tile-parallel replay: `request` and
+    /// `eviction_notice` pay one predictable branch.
+    touched: Option<SetLog>,
+}
+
+/// The distinct L2 set indices mutated since the last clear: a bitset
+/// for O(1) dedup plus the list in first-touch order.
+#[derive(Debug, Clone)]
+struct SetLog {
+    bits: Vec<u64>,
+    list: Vec<usize>,
+}
+
+impl SetLog {
+    fn new(sets: usize) -> Self {
+        SetLog {
+            bits: vec![0; sets.div_ceil(64)],
+            list: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, set: usize) {
+        let (word, bit) = (set / 64, 1u64 << (set % 64));
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.list.push(set);
+        }
+    }
+
+    fn clear(&mut self) {
+        for &set in &self.list {
+            self.bits[set / 64] = 0;
+        }
+        self.list.clear();
+    }
 }
 
 impl DirectoryMesi {
@@ -140,6 +177,63 @@ impl DirectoryMesi {
             invalidations: 0,
             forwards: 0,
             checker: None,
+            touched: None,
+        }
+    }
+
+    /// Starts logging which L2 sets `request` and `eviction_notice`
+    /// mutate, so a copy of this directory can later be resynced by
+    /// [`DirectoryMesi::sync_from`] in time proportional to what changed.
+    pub fn track_touched_sets(&mut self) {
+        if self.touched.is_none() {
+            self.touched = Some(SetLog::new(self.l2.sets()));
+        }
+    }
+
+    /// The L2 sets mutated since tracking started or the log was last
+    /// cleared, in first-touch order (empty when tracking is off).
+    pub fn touched_sets(&self) -> &[usize] {
+        self.touched.as_ref().map_or(&[], |log| &log.list)
+    }
+
+    /// Empties the touched-set log (tracking stays on).
+    pub fn clear_touched_sets(&mut self) {
+        if let Some(log) = &mut self.touched {
+            log.clear();
+        }
+    }
+
+    /// Makes this directory equal to `src`, assuming the two differ at
+    /// most in the L2 sets this directory logged as touched plus
+    /// `extra_sets` (the sets `src` mutated since they were last equal).
+    /// Counters and the checker are copied whole. Without a log the
+    /// whole L2 is copied. Clears the log.
+    pub fn sync_from(&mut self, src: &DirectoryMesi, extra_sets: &[usize]) {
+        match &mut self.touched {
+            Some(log) => {
+                for &set in extra_sets {
+                    log.mark(set);
+                }
+                for &set in &log.list {
+                    self.l2.copy_set_from(&src.l2, set);
+                }
+                self.l2.copy_scalars_from(&src.l2);
+                log.clear();
+            }
+            None => self.l2.clone_from(&src.l2),
+        }
+        self.gets = src.gets;
+        self.getx = src.getx;
+        self.putx = src.putx;
+        self.invalidations = src.invalidations;
+        self.forwards = src.forwards;
+        self.checker.clone_from(&src.checker);
+    }
+
+    #[inline]
+    fn log_touch(&mut self, block: BlockAddr) {
+        if let Some(log) = &mut self.touched {
+            log.mark(self.l2.set_index(block));
         }
     }
 
@@ -177,6 +271,7 @@ impl DirectoryMesi {
             MesiReq::GetX => self.getx += 1,
         }
         let block = Self::key(pa);
+        self.log_touch(block);
         let mut out = MesiOutcome::default();
 
         let entry = self.l2.lookup(Self::PHYS, block).map(|l| l.meta);
@@ -295,6 +390,7 @@ impl DirectoryMesi {
     pub fn eviction_notice(&mut self, agent: AgentId, pa: PhysAddr, dirty: bool) {
         self.putx += 1;
         let block = Self::key(pa);
+        self.log_touch(block);
         if let Some(line) = self.l2.probe_mut(Self::PHYS, block) {
             line.dirty = line.dirty || dirty;
             line.meta.state = dir_release(line.meta.state, agent);
@@ -359,6 +455,11 @@ impl DirectoryMesi {
     pub fn l2_misses(&self) -> u64 {
         self.l2.misses()
     }
+
+    /// L2 victims evicted to make room (each recalls its sharers).
+    pub fn l2_evictions(&self) -> u64 {
+        self.l2.evictions()
+    }
 }
 
 impl fusion_sim::StateDigest for DirEntry {
@@ -397,6 +498,50 @@ mod tests {
 
     fn pa(i: u64) -> PhysAddr {
         PhysAddr::new(i * 64)
+    }
+
+    fn digest_of(dir: &DirectoryMesi) -> (u64, u64) {
+        let mut h = fusion_sim::StateHasher::new();
+        fusion_sim::StateDigest::digest(dir, &mut h);
+        h.finish128()
+    }
+
+    #[test]
+    fn touched_sets_log_each_mutated_set_once() {
+        let mut dir = DirectoryMesi::table2();
+        dir.request(AgentId::HOST_L1, pa(1), MesiReq::GetS);
+        assert!(dir.touched_sets().is_empty(), "tracking is off by default");
+        dir.track_touched_sets();
+        let sets = dir.l2.sets() as u64;
+        dir.request(AgentId::TILE, pa(5), MesiReq::GetX);
+        dir.eviction_notice(AgentId::TILE, pa(5 + sets), false);
+        dir.request(AgentId::HOST_L1, pa(7), MesiReq::GetS);
+        dir.eviction_notice(AgentId::TILE, pa(5), true);
+        assert_eq!(dir.touched_sets(), &[5, 7]);
+        dir.clear_touched_sets();
+        assert!(dir.touched_sets().is_empty());
+    }
+
+    #[test]
+    fn sync_from_copies_own_and_extra_sets() {
+        let mut auth = DirectoryMesi::table2();
+        auth.track_touched_sets();
+        auth.request(AgentId::HOST_L1, pa(1), MesiReq::GetS);
+        let mut copy = auth.clone();
+        auth.clear_touched_sets();
+        copy.clear_touched_sets();
+        copy.request(AgentId::TILE, pa(1), MesiReq::GetX);
+        copy.request(AgentId::TILE, pa(2), MesiReq::GetX);
+        auth.request(AgentId::HOST_L1, pa(3), MesiReq::GetX);
+        assert_ne!(digest_of(&copy), digest_of(&auth));
+        copy.sync_from(&auth, auth.touched_sets());
+        assert_eq!(digest_of(&copy), digest_of(&auth));
+        assert!(copy.touched_sets().is_empty());
+        // An untracked copy falls back to a whole-L2 copy.
+        let mut plain = DirectoryMesi::table2();
+        plain.request(AgentId::TILE, pa(9), MesiReq::GetS);
+        plain.sync_from(&auth, &[]);
+        assert_eq!(digest_of(&plain), digest_of(&auth));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use fusion_coherence::{AgentId, DirectoryMesi, MesiReq};
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
 use fusion_mem::{MainMemory, NucaRing, ReplacementPolicy, SetAssocCache};
-use fusion_types::hash::FxHashMap;
 use fusion_types::{AccessKind, BlockAddr, Cycle, PhysAddr, Pid, SystemConfig, CACHE_BLOCK_BYTES};
 use fusion_vm::{PageTable, Tlb};
 
@@ -67,10 +66,10 @@ pub struct TileFill {
 }
 
 /// Host-side state machine shared by all four systems.
-// `Clone` backs tile-parallel replay (DESIGN.md §12): each tile worker
-// replays its phase against a private copy of the host state taken at the
-// round's arbitration point; the authoritative copy advances only through
-// the deterministic merge.
+// `Clone` and `sync_from` back tile-parallel replay (DESIGN.md §12): each
+// tile worker replays its phases against a mirror of the authoritative
+// host and resyncs it by the L2 sets that changed; the authoritative copy
+// advances only through the deterministic merge.
 #[derive(Debug, Clone)]
 pub struct HostSide {
     cfg: SystemConfig,
@@ -82,9 +81,11 @@ pub struct HostSide {
     host_tlb: Tlb,
     ax_tlb: Tlb,
     nuca: NucaRing,
-    // Hot-map audit: insert on tile fill, get on tile eviction — never
-    // iterated.
-    v2p: FxHashMap<(Pid, BlockAddr), PhysAddr>,
+    // No virtual→physical map of tile-filled blocks: a tile only evicts
+    // blocks it filled, each fill's `pa` came from `page_table` (via the
+    // AX-TLB), and page-table frames never move once allocated, so
+    // `page_table.lookup` at eviction time recovers exactly the fill's
+    // `pa`.
     host_forwards: u64,
 }
 
@@ -107,9 +108,40 @@ impl HostSide {
             host_tlb: Tlb::new(64),
             ax_tlb: Tlb::new(32),
             nuca: NucaRing::table2(),
-            v2p: FxHashMap::default(),
             host_forwards: 0,
         }
+    }
+
+    /// Starts logging the L2 sets this host's directory mutates (see
+    /// [`HostSide::sync_from`]).
+    pub fn track_touched_sets(&mut self) {
+        self.dir.track_touched_sets();
+    }
+
+    /// The L2 sets mutated since the log was last cleared.
+    pub fn touched_sets(&self) -> &[usize] {
+        self.dir.touched_sets()
+    }
+
+    /// Empties the touched-set log.
+    pub fn clear_touched_sets(&mut self) {
+        self.dir.clear_touched_sets();
+    }
+
+    /// Makes this host (a clone of `auth`, or a mirror synced from it
+    /// before) equal to `auth` again. The L2 directory copies only the
+    /// sets this host logged as touched plus `extra_sets`, the sets
+    /// `auth` mutated since the two were last equal; everything else is
+    /// small and copied whole. The configuration-derived fields are never
+    /// mutated, so a clone already agrees on them.
+    pub fn sync_from(&mut self, auth: &HostSide, extra_sets: &[usize]) {
+        self.dir.sync_from(&auth.dir, extra_sets);
+        self.host_l1.clone_from(&auth.host_l1);
+        self.mem.clone_from(&auth.mem);
+        self.page_table.clone_from(&auth.page_table);
+        self.host_tlb.clone_from(&auth.host_tlb);
+        self.ax_tlb.clone_from(&auth.ax_tlb);
+        self.host_forwards = auth.host_forwards;
     }
 
     /// The energy table in use.
@@ -286,7 +318,6 @@ impl HostSide {
             .ax_tlb
             .translate(pid, vblock.base(), &mut self.page_table);
         ledger.charge(Component::Tlb, self.energy.tlb_lookup);
-        self.v2p.insert((pid, vblock), pa);
 
         ledger.charge_bytes(
             Component::LinkL1xL2Msg,
@@ -338,7 +369,9 @@ impl HostSide {
         dirty: bool,
         ledger: &mut EnergyLedger,
     ) -> Option<PhysAddr> {
-        let pa = self.v2p.get(&(pid, vblock)).copied()?;
+        // The fill's translation (see the note in `HostSide`); `None` only
+        // for a block whose page was never mapped, so never filled.
+        let pa = self.page_table.lookup(pid, vblock.base())?;
         self.tile_eviction_phys_as(agent, pa, dirty, ledger);
         Some(pa)
     }
@@ -542,13 +575,6 @@ impl fusion_sim::StateDigest for HostSide {
         self.host_tlb.digest(h);
         self.ax_tlb.digest(h);
         self.nuca.digest(h);
-        h.write_unordered(self.v2p.iter().map(|(&(pid, block), &pa)| {
-            fusion_sim::digest_item(|h| {
-                pid.digest(h);
-                block.digest(h);
-                pa.digest(h);
-            })
-        }));
         h.write_u64(self.host_forwards);
     }
 }
@@ -690,6 +716,164 @@ mod tests {
         // No fill ever happened for this block: nothing to evict.
         assert!(host.tile_eviction(P, vb(99), true, &mut ledger).is_none());
         assert_eq!(ledger.count(Component::LinkL1xL2Msg), 0);
+    }
+
+    #[test]
+    fn tile_eviction_targets_the_fill_pa() {
+        let (mut host, mut ledger) = setup();
+        let fill = host.tile_fill(P, vb(40), Cycle::new(0), &mut ledger, &mut NoTile);
+        // A host access maps another page in between; the fill's frame
+        // must not move.
+        host.host_access(
+            P,
+            vb(40 + 3 * 64),
+            AccessKind::Store,
+            Cycle::new(500),
+            &mut ledger,
+            &mut NoTile,
+        );
+        assert!(host.directory_tracks_tile(fill.pa));
+        let evicted = host.tile_eviction(P, vb(40), true, &mut ledger);
+        assert_eq!(evicted, Some(fill.pa), "notice must target the fill's pa");
+        assert!(!host.directory_tracks_tile(fill.pa));
+        let refill = host.tile_fill(P, vb(40), Cycle::new(1000), &mut ledger, &mut NoTile);
+        assert_eq!(refill.pa, fill.pa);
+        assert!(host.directory_tracks_tile(refill.pa));
+        assert_eq!(
+            host.tile_eviction(P, vb(40), false, &mut ledger),
+            Some(fill.pa)
+        );
+        assert!(!host.directory_tracks_tile(fill.pa));
+    }
+
+    fn digest_of(host: &HostSide) -> (u64, u64) {
+        let mut h = fusion_sim::StateHasher::new();
+        fusion_sim::StateDigest::digest(host, &mut h);
+        h.finish128()
+    }
+
+    fn counters(host: &HostSide) -> [u64; 8] {
+        [
+            host.ax_tlb_lookups(),
+            host.host_forwards(),
+            host.l2_accesses(),
+            host.dir.gets_count(),
+            host.dir.getx_count(),
+            host.dir.putx_count(),
+            host.dir.invalidations_sent(),
+            host.dir.forwards_sent(),
+        ]
+    }
+
+    /// L2 sets the raw directory ops below aim at, far above the sets the
+    /// (low-numbered) frames of the host and tile ops map to.
+    const EVICT_SET: u64 = 3000;
+    const MIRROR_ONLY_SET: u64 = 3500;
+    const MERGE_ONLY_SET: u64 = 4000;
+
+    /// One seeded random op: a raw GetS/GetX/eviction notice from one of
+    /// four agents on a block of `set` (24 blocks per set, more than the
+    /// 16 ways, so the set evicts), or a host access, tile fill or tile
+    /// eviction on a small virtual range.
+    fn random_op(
+        host: &mut HostSide,
+        rng: &mut crate::SplitMix64,
+        set: u64,
+        ledger: &mut EnergyLedger,
+    ) {
+        let l2_sets = host.cfg.l2.sets() as u64;
+        let r = rng.next_u64();
+        let agent = AgentId((r % 4) as u8);
+        let pa = PhysAddr::new((set + (r >> 8) % 24 * l2_sets) * CACHE_BLOCK_BYTES as u64);
+        let pid = Pid(1 + (r >> 16) as u32 % 2);
+        let vblock = vb((r >> 24) % 512);
+        let at = Cycle::new((r >> 40) % 10_000);
+        match (r >> 4) % 6 {
+            0 => {
+                host.l2_request(agent, pa, MesiReq::GetS, at, ledger, Some(&mut NoTile));
+            }
+            1 => {
+                host.l2_request(agent, pa, MesiReq::GetX, at, ledger, Some(&mut NoTile));
+            }
+            2 => host.dir.eviction_notice(agent, pa, r & 1 == 1),
+            3 => {
+                let kind = if r & 1 == 1 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                host.host_access(pid, vblock, kind, at, ledger, &mut NoTile);
+            }
+            4 => {
+                host.tile_fill_as(AgentId(2), pid, vblock, at, ledger, &mut NoTile);
+            }
+            _ => {
+                host.tile_eviction_as(AgentId(2), pid, vblock, r & 1 == 1, ledger);
+            }
+        }
+    }
+
+    #[test]
+    fn mirror_sync_matches_a_fresh_clone() {
+        let mut auth = HostSide::new(&SystemConfig::small());
+        auth.track_touched_sets();
+        let mut ledger = EnergyLedger::new();
+        let mut rng = crate::SplitMix64(0x5eed);
+        for _ in 0..200 {
+            random_op(&mut auth, &mut rng, EVICT_SET, &mut ledger);
+        }
+        auth.clear_touched_sets();
+        let mut mirror = auth.clone();
+        let l2_sets = auth.cfg.l2.sets();
+        for round in 0..20 {
+            // Speculation: the mirror diverges in the eviction set, a set
+            // of its own and wherever its host/tile ops land.
+            for i in 0..60 {
+                let set = if i % 2 == 0 {
+                    EVICT_SET
+                } else {
+                    MIRROR_ONLY_SET
+                };
+                random_op(&mut mirror, &mut rng, set, &mut ledger);
+            }
+            // Merge: the authoritative host moves on in the eviction set
+            // and in a set the mirror never touches.
+            auth.clear_touched_sets();
+            for i in 0..60 {
+                let set = if i % 2 == 0 {
+                    EVICT_SET
+                } else {
+                    MERGE_ONLY_SET
+                };
+                random_op(&mut auth, &mut rng, set, &mut ledger);
+            }
+            assert!(auth.touched_sets().contains(&(MERGE_ONLY_SET as usize)));
+            assert!(!mirror.touched_sets().contains(&(MERGE_ONLY_SET as usize)));
+            assert!(mirror.touched_sets().contains(&(EVICT_SET as usize)));
+            assert!(mirror.touched_sets().iter().all(|&s| s < l2_sets));
+            assert_ne!(digest_of(&mirror), digest_of(&auth), "round {round}");
+
+            mirror.sync_from(&auth, auth.touched_sets());
+            let fresh = auth.clone();
+            assert_eq!(digest_of(&mirror), digest_of(&fresh), "round {round}");
+            assert_eq!(counters(&mirror), counters(&fresh), "round {round}");
+            assert!(mirror.touched_sets().is_empty());
+
+            // The synced mirror and a fresh clone evolve identically.
+            let mut clone = fresh;
+            let (mut ra, mut rb) = (crate::SplitMix64(round), crate::SplitMix64(round));
+            let mut probe_mirror = mirror.clone();
+            for _ in 0..30 {
+                random_op(&mut probe_mirror, &mut ra, EVICT_SET, &mut ledger);
+                random_op(&mut clone, &mut rb, EVICT_SET, &mut ledger);
+            }
+            assert_eq!(digest_of(&probe_mirror), digest_of(&clone), "round {round}");
+        }
+        assert!(
+            auth.dir.l2_evictions() > 0,
+            "the eviction set must overflow"
+        );
+        assert!(mirror.dir.l2_evictions() > 0);
     }
 
     #[test]

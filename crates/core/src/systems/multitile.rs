@@ -13,19 +13,25 @@
 //! Tiles advance in *rounds*: round *r* runs every unfinished program's
 //! *r*-th phase. All tiles start a round together at the arbitration
 //! point (the barrier over the previous round's completion times), replay
-//! their phase against a **private copy** of the host state taken at the
-//! round start, and log every host-side interaction they perform. At the
-//! next arbitration point the logs commit to the authoritative host in
+//! their phase against a **mirror** of the host state as of the round
+//! start, and log every host-side interaction they perform. At the next
+//! arbitration point the logs commit to the authoritative host in
 //! canonical **(tile index, event sequence)** order — a pure function of
-//! the logs, never of thread timing — so the parallel path
-//! ([`MultiTileSystem::run_parallel`]) is bit-identical to the sequential
-//! one by construction, not by luck. Between arbitration points no tile
-//! touches another tile's state: cross-tile effects (inclusive-L2 recalls
-//! pulling a line out of a foreign tile) commit only at the merge.
+//! the logs, never of thread timing — so every thread count gives
+//! bit-identical results by construction, not by luck. Between
+//! arbitration points no tile touches another tile's state: cross-tile
+//! effects (inclusive-L2 recalls pulling a line out of a foreign tile)
+//! commit only at the merge.
+//!
+//! Each worker keeps one mirror for the whole run instead of cloning the
+//! host per tile-phase. Right before a replay the worker syncs its mirror
+//! with the authoritative host: it copies the L2 sets its own last replay
+//! touched plus those every merge since touched, and the small host
+//! structures whole.
 //!
 //! Consequences of the model, by design:
 //! - A tile observes other tiles' L2/directory effects with one-round
-//!   granularity (the snapshot is taken at the round start).
+//!   granularity (the mirror holds the round-start state).
 //! - The latency of a cross-tile recall is not charged to the requester's
 //!   critical path (the speculative response treats the foreign copy as
 //!   already released); its state and energy effects commit at the merge.
@@ -33,8 +39,12 @@
 //!   speculative replay (each tile's own, deterministic); the shared host
 //!   state advances only through the merge.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+
 use fusion_accel::ooo::{run_host_phase_indexed, OooParams};
-use fusion_accel::{run_phase_indexed, DecodedTrace, Workload};
+use fusion_accel::{run_phase_indexed, Workload};
 use fusion_coherence::acc::{AccTile, TileStats, TileTiming};
 use fusion_coherence::AgentId;
 use fusion_energy::{Component, EnergyLedger, EnergyModel};
@@ -58,11 +68,45 @@ struct PerTile {
     latency: fusion_sim::Histogram,
     phases: Vec<PhaseResult>,
     own_cycles: u64,
-    cursor: usize,
     mark: TileStats,
     tlb_attr: u64,
     fwd_attr: u64,
     l2_attr: u64,
+}
+
+impl PerTile {
+    fn new(wl: &Workload, cfg: &SystemConfig) -> Self {
+        let timing = TileTiming {
+            l0_latency: cfg.l0x.latency,
+            l1_latency: cfg.l1x.latency,
+            link_latency: cfg.link_axc_l1x.latency,
+            link_bytes_per_cycle: cfg.link_axc_l1x.bytes_per_cycle,
+        };
+        let mut tile = AccTile::new(
+            wl.axc_count().max(1),
+            cfg.l0x,
+            cfg.l1x,
+            timing,
+            cfg.write_policy,
+        );
+        tile.set_lease_renewal(cfg.lease_renewal);
+        if cfg.checker.enabled {
+            tile.enable_checker(cfg.checker.acc_fault);
+        }
+        let mark = *tile.stats();
+        PerTile {
+            tile,
+            rmap: AxRmap::new(),
+            ledger: EnergyLedger::new(),
+            latency: fusion_sim::Histogram::new(),
+            phases: Vec::new(),
+            own_cycles: 0,
+            mark,
+            tlb_attr: 0,
+            fwd_attr: 0,
+            l2_attr: 0,
+        }
+    }
 }
 
 /// A host-side interaction logged during speculative replay, re-executed
@@ -129,7 +173,7 @@ impl TileAgent for SoloTile<'_> {
 /// Serves directory forwards against every tile — the merge-time agent,
 /// where cross-tile recalls actually commit.
 struct TilesView<'a> {
-    tiles: &'a mut [PerTile],
+    tiles: &'a [Mutex<PerTile>],
     energy: &'a EnergyModel,
 }
 
@@ -149,9 +193,11 @@ impl TileAgent for TilesView<'_> {
         ledger: &mut EnergyLedger,
     ) -> (Cycle, bool) {
         let idx = Self::index_of(agent);
-        let Some(t) = self.tiles.get_mut(idx) else {
+        let Some(slot) = self.tiles.get(idx) else {
             return (now, false);
         };
+        // Uncontended: the merge runs while no task holds a tile.
+        let mut t = slot.lock().unwrap_or_else(PoisonError::into_inner);
         ledger.charge(Component::Rmap, self.energy.rmap_lookup);
         match t.rmap.lookup(pa) {
             Some(ptr) => {
@@ -178,24 +224,30 @@ fn tile_agent(w: usize) -> AgentId {
     AgentId(u8::try_from(w + 1).unwrap_or(u8::MAX))
 }
 
+/// Helper threads a run spawns for `tile_threads` tile workers over
+/// `tiles` tiles. The calling thread is always a worker, and no round
+/// holds more tasks than there are tiles.
+fn helper_threads(tile_threads: usize, tiles: usize) -> usize {
+    tile_threads.min(tiles).saturating_sub(1)
+}
+
 /// Replays tile `w`'s phase `phase_idx` between two arbitration points:
-/// private clock from `round_start`, private `host` copy, authoritative
-/// own-tile state, every host interaction logged for the merge.
-#[allow(clippy::too_many_arguments)]
+/// private clock from `round_start`, the worker's host mirror (as of the
+/// round start), authoritative own-tile state, every host interaction
+/// logged for the merge.
 fn replay_tile_phase(
     w: usize,
     wl: &Workload,
-    decoded: &DecodedTrace,
     phase_idx: usize,
     round_start: Cycle,
-    mut host: HostSide,
+    host: &mut HostSide,
     st: &mut PerTile,
     em: &EnergyModel,
 ) -> TileRound {
     let pid = tile_pid(w);
     let agent = tile_agent(w);
     let phase = &wl.phases[phase_idx];
-    let dp = decoded.phase(phase_idx);
+    let refs = &phase.refs;
     let mut ops: Vec<HostOp> = Vec::new();
 
     let emark = EnergyMark::take(&st.ledger);
@@ -216,21 +268,21 @@ fn replay_tile_phase(
     let end = match phase.unit.axc() {
         None => {
             let t = run_host_phase_indexed(
-                dp.len(),
-                |j| dp.gaps[j],
-                |j| dp.kinds[j].is_write(),
+                refs.len(),
+                |j| refs[j].gap,
+                |j| refs[j].kind.is_write(),
                 OooParams::default(),
                 round_start,
                 |j, at| {
                     ops.push(HostOp::Access {
-                        block: dp.blocks[j],
-                        kind: dp.kinds[j],
+                        block: refs[j].block(),
+                        kind: refs[j].kind,
                         at,
                     });
                     host.host_access(
                         pid,
-                        dp.blocks[j],
-                        dp.kinds[j],
+                        refs[j].block(),
+                        refs[j].kind,
                         at,
                         ledger,
                         &mut SoloTile {
@@ -247,13 +299,13 @@ fn replay_tile_phase(
         Some(axc) => {
             let lease = phase.lease;
             let t = run_phase_indexed(
-                dp.len(),
-                |j| dp.gaps[j],
+                refs.len(),
+                |j| refs[j].gap,
                 phase.mlp,
                 round_start,
                 |j, at| {
-                    let block = dp.blocks[j];
-                    let kind = dp.kinds[j];
+                    let block = refs[j].block();
+                    let kind = refs[j].kind;
                     let done = match tile.axc_access(axc, pid, block, kind, at, lease) {
                         fusion_coherence::AccAccess::L0Hit { done_at }
                         | fusion_coherence::AccAccess::L1Served { done_at } => done_at,
@@ -327,6 +379,264 @@ fn replay_tile_phase(
     TileRound { end, ops }
 }
 
+/// One tile-phase of a round. The round start travels with the task: a
+/// worker that wakes late may claim a later round's task, and must replay
+/// it from that round's start, not from whatever round it woke for.
+#[derive(Debug, Clone, Copy)]
+struct Task {
+    w: usize,
+    phase: usize,
+    round_start: Cycle,
+}
+
+/// The round's task queue, shared by the calling thread and the helpers.
+#[derive(Default)]
+struct Queue {
+    tasks: Vec<Task>,
+    next: usize,
+    unfinished: usize,
+    outcomes: Vec<(usize, TileRound)>,
+    panic: Option<Box<dyn Any + Send>>,
+    closed: bool,
+}
+
+/// A worker's copy of the host. Its L2 equals the authoritative one
+/// except in the sets its own directory log names and in `behind`; the
+/// small host structures are copied whole on every sync.
+struct Mirror {
+    host: HostSide,
+    /// L2 sets the merges touched since this mirror last synced.
+    behind: Vec<usize>,
+}
+
+/// One run's worker pool and the state its workers share. Worker `slot`
+/// owns `mirrors[slot]`; slot 0 is the calling thread.
+///
+/// Locks are recovered from poisoning with `into_inner`: only a replay
+/// can panic while holding one (its mirror and tile), and that panic is
+/// re-raised at the end of its round, before anything reads either.
+struct Pool<'a> {
+    workloads: &'a [Workload],
+    em: EnergyModel,
+    auth: RwLock<HostSide>,
+    tiles: Vec<Mutex<PerTile>>,
+    mirrors: Vec<Mutex<Mirror>>,
+    queue: Mutex<Queue>,
+    work: Condvar,
+    idle: Condvar,
+}
+
+impl Pool<'_> {
+    /// Syncs worker `slot`'s mirror with the authoritative host (which
+    /// does not change while tasks run), then replays `task` on it.
+    fn replay(&self, slot: usize, task: Task) -> TileRound {
+        let wl = &self.workloads[task.w];
+        let mut mirror = self.mirrors[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let Mirror { host, behind } = &mut *mirror;
+        host.sync_from(
+            &self.auth.read().unwrap_or_else(PoisonError::into_inner),
+            behind,
+        );
+        behind.clear();
+        let mut st = self.tiles[task.w]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        replay_tile_phase(
+            task.w,
+            wl,
+            task.phase,
+            task.round_start,
+            host,
+            &mut st,
+            &self.em,
+        )
+    }
+
+    /// Opens a round: queues its tasks and wakes the helpers.
+    fn post(&self, tasks: Vec<Task>) {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.unfinished = tasks.len();
+        q.tasks = tasks;
+        q.next = 0;
+        drop(q);
+        self.work.notify_all();
+    }
+
+    /// Claims the next task of the current round. With `wait`, blocks
+    /// until one is posted; `None` once the pool closes (or, without
+    /// `wait`, when the round has no unclaimed task left).
+    fn claim(&self, wait: bool) -> Option<Task> {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if q.closed {
+                return None;
+            }
+            if let Some(&task) = q.tasks.get(q.next) {
+                q.next += 1;
+                return Some(task);
+            }
+            if !wait {
+                return None;
+            }
+            q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Hands in a claimed task's outcome (or its worker's panic).
+    fn hand_in(&self, w: usize, outcome: Result<TileRound, Box<dyn Any + Send>>) {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        match outcome {
+            Ok(round) => q.outcomes.push((w, round)),
+            Err(panic) => {
+                q.panic.get_or_insert(panic);
+            }
+        }
+        q.unfinished -= 1;
+        if q.unfinished == 0 {
+            self.idle.notify_one();
+        }
+    }
+
+    /// A helper thread's life: claim, replay, hand in, until closed.
+    fn help(&self, slot: usize) {
+        while let Some(task) = self.claim(true) {
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.replay(slot, task)));
+            self.hand_in(task.w, outcome);
+        }
+    }
+
+    /// Stops the helpers once they finish their current task.
+    fn close(&self) {
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        self.work.notify_all();
+    }
+
+    /// Replays one round's tasks and returns the outcomes by tile index.
+    /// A lone task, or a pool without helpers, runs inline; otherwise the
+    /// calling thread claims tasks alongside the helpers.
+    fn run_round(&self, tasks: Vec<Task>) -> Vec<(usize, TileRound)> {
+        if tasks.len() == 1 || self.mirrors.len() == 1 {
+            return tasks.iter().map(|t| (t.w, self.replay(0, *t))).collect();
+        }
+        self.post(tasks);
+        while let Some(task) = self.claim(false) {
+            let round = self.replay(0, task);
+            self.hand_in(task.w, Ok(round));
+        }
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        while q.unfinished > 0 {
+            q = self.idle.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(panic) = q.panic.take() {
+            // A tile-worker panic is a simulator bug; re-raising lets the
+            // sweep's catch_unwind type it as JobPanicked.
+            resume_unwind(panic);
+        }
+        let mut outcomes = std::mem::take(&mut q.outcomes);
+        // The merge rule is (tile index, sequence): make it structural,
+        // not an accident of completion order.
+        outcomes.sort_by_key(|(w, _)| *w);
+        outcomes
+    }
+
+    /// Arbitration point: commits the round's host-interaction logs to
+    /// the authoritative host in canonical order, then tells every mirror
+    /// which L2 sets the merge touched. Energy and counters were
+    /// attributed during speculative replay; the merge re-execution
+    /// advances shared state only.
+    fn merge(&self, outcomes: &mut [(usize, TileRound)]) {
+        let mut logs: Vec<Vec<HostOp>> = self.workloads.iter().map(|_| Vec::new()).collect();
+        for (w, r) in outcomes.iter_mut() {
+            logs[*w] = std::mem::take(&mut r.ops);
+        }
+        let mut host = self.auth.write().unwrap_or_else(PoisonError::into_inner);
+        host.clear_touched_sets();
+        let mut tiles = TilesView {
+            tiles: &self.tiles,
+            energy: &self.em,
+        };
+        let mut scratch = EnergyLedger::new();
+        for (w, op) in SourceLogs::from_parts(logs).into_ordered() {
+            let pid = tile_pid(w);
+            let agent = tile_agent(w);
+            match op {
+                HostOp::Access { block, kind, at } => {
+                    host.host_access(pid, block, kind, at, &mut scratch, &mut tiles);
+                }
+                HostOp::Fill { block, at } => {
+                    let fill = host.tile_fill_as(agent, pid, block, at, &mut scratch, &mut tiles);
+                    // Own-tile recalls were already applied during
+                    // speculative replay (the rmap entry is gone, so
+                    // re-application no-ops); cross-tile recalls commit
+                    // here.
+                    for rpa in fill.tile_recalls {
+                        tiles.handle_forward(agent, rpa, fill.data_at, &mut scratch);
+                    }
+                }
+                HostOp::Evict { pid, block, dirty } => {
+                    host.tile_eviction_as(agent, pid, block, dirty, &mut scratch);
+                }
+            }
+        }
+        for mirror in &self.mirrors {
+            mirror
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .behind
+                .extend_from_slice(host.touched_sets());
+        }
+    }
+
+    /// Runs every round; returns the final arbitration point.
+    fn run_rounds(&self, ctl: &RunControl<'_>, checker: bool) -> Result<Cycle, SimError> {
+        let rounds = self
+            .workloads
+            .iter()
+            .map(|wl| wl.phases.len())
+            .max()
+            .unwrap_or(0);
+        let mut now = Cycle::ZERO;
+        for phase in 0..rounds {
+            // This round's phase of every unfinished program.
+            let tasks: Vec<Task> = (0..self.workloads.len())
+                .filter(|&w| phase < self.workloads[w].phases.len())
+                .map(|w| Task {
+                    w,
+                    phase,
+                    round_start: now,
+                })
+                .collect();
+            let mut outcomes = self.run_round(tasks);
+            self.merge(&mut outcomes);
+            now = barrier(outcomes.iter().map(|(_, r)| r.end));
+            ctl.check(now.value())?;
+            if checker {
+                let host = self.auth.read().unwrap_or_else(PoisonError::into_inner);
+                if let Some(v) = host.checker_violation() {
+                    return Err(v.into());
+                }
+            }
+        }
+        Ok(now)
+    }
+}
+
+/// Closes the pool when the calling thread leaves the scope, whether it
+/// returns, errs or panics — so the scope's join never waits on a helper
+/// blocked for work.
+struct CloseOnDrop<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Multiple FUSION tiles over one host multicore.
 #[derive(Debug)]
 pub struct MultiTileSystem {
@@ -339,13 +649,12 @@ impl MultiTileSystem {
         MultiTileSystem { cfg: cfg.clone() }
     }
 
-    /// Runs one workload per tile on the sequential path (one worker,
-    /// same arbitration-point semantics as [`MultiTileSystem::
-    /// run_parallel`] — the results are bit-identical at every thread
-    /// count). Each workload is re-tagged with a distinct PID (tile *i*
-    /// runs as process *i + 1*). Returns one result per workload, in
-    /// input order; `total_cycles` of each result counts only that
-    /// program's own phases.
+    /// Runs one workload per tile on one worker (same arbitration-point
+    /// semantics as [`MultiTileSystem::run_parallel`] — the results are
+    /// bit-identical at every thread count). Each workload is re-tagged
+    /// with a distinct PID (tile *i* runs as process *i + 1*). Returns
+    /// one result per workload, in input order; `total_cycles` of each
+    /// result counts only that program's own phases.
     ///
     /// # Panics
     ///
@@ -374,8 +683,10 @@ impl MultiTileSystem {
     /// at every arbitration point (the multi-tile analogue of the
     /// single-tile phase boundary, DESIGN.md §10/§12). A cancellation
     /// raised mid-round stops every tile worker at the round's barrier
-    /// and surfaces as [`SimError::Timeout`] on both the sequential and
-    /// the parallel path.
+    /// and surfaces as [`SimError::Timeout`] at every thread count.
+    ///
+    /// The calling thread is a worker; `min(tile_threads, tiles) - 1`
+    /// helper threads are spawned once for the whole run.
     ///
     /// # Errors
     ///
@@ -389,204 +700,49 @@ impl MultiTileSystem {
         tile_threads: usize,
     ) -> Result<Vec<SimResult>, SimError> {
         assert!(!workloads.is_empty(), "need at least one workload");
-        let tile_threads = tile_threads.max(1);
         let cfg = &self.cfg;
         let mut host = HostSide::new(cfg);
-        let em = host.energy_model().clone();
-        let timing = TileTiming {
-            l0_latency: cfg.l0x.latency,
-            l1_latency: cfg.l1x.latency,
-            link_latency: cfg.link_axc_l1x.latency,
-            link_bytes_per_cycle: cfg.link_axc_l1x.bytes_per_cycle,
-        };
-        // One shared decoding per workload — tile workers replay it
-        // concurrently by reference.
-        let decoded: Vec<DecodedTrace> = workloads.iter().map(DecodedTrace::decode).collect();
-        let mut per: Vec<PerTile> = workloads
-            .iter()
-            .map(|wl| {
-                let mut tile = AccTile::new(
-                    wl.axc_count().max(1),
-                    cfg.l0x,
-                    cfg.l1x,
-                    timing,
-                    cfg.write_policy,
-                );
-                tile.set_lease_renewal(cfg.lease_renewal);
-                if cfg.checker.enabled {
-                    tile.enable_checker(cfg.checker.acc_fault);
-                }
-                let mark = *tile.stats();
-                PerTile {
-                    tile,
-                    rmap: AxRmap::new(),
-                    ledger: EnergyLedger::new(),
-                    latency: fusion_sim::Histogram::new(),
-                    phases: Vec::new(),
-                    own_cycles: 0,
-                    cursor: 0,
-                    mark,
-                    tlb_attr: 0,
-                    fwd_attr: 0,
-                    l2_attr: 0,
-                }
-            })
-            .collect();
-
-        let mut now = Cycle::ZERO;
-        loop {
-            // Claim this round's phase for every unfinished program.
-            let mut active: Vec<(usize, usize, &mut PerTile)> = per
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(w, st)| {
-                    if st.cursor < workloads[w].phases.len() {
-                        let pi = st.cursor;
-                        st.cursor += 1;
-                        Some((w, pi, st))
-                    } else {
-                        None
-                    }
+        host.track_touched_sets();
+        let helpers = helper_threads(tile_threads, workloads.len());
+        let pool = Pool {
+            workloads,
+            em: host.energy_model().clone(),
+            mirrors: (0..=helpers)
+                .map(|_| {
+                    Mutex::new(Mirror {
+                        host: host.clone(),
+                        behind: Vec::new(),
+                    })
                 })
-                .collect();
-            if active.is_empty() {
-                break;
+                .collect(),
+            auth: RwLock::new(host),
+            tiles: workloads
+                .iter()
+                .map(|wl| Mutex::new(PerTile::new(wl, cfg)))
+                .collect(),
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+        };
+        let now = std::thread::scope(|scope| {
+            for slot in 1..=helpers {
+                let pool = &pool;
+                scope.spawn(move || pool.help(slot));
             }
-            let round_start = now;
+            let _close = CloseOnDrop(&pool);
+            pool.run_rounds(ctl, cfg.checker.enabled)
+        })?;
 
-            // Speculative replay: every tile against its own host copy.
-            // The sequential path runs the identical algorithm inline, so
-            // thread count can never change an outcome.
-            let mut outcomes: Vec<(usize, TileRound)> = Vec::with_capacity(active.len());
-            if tile_threads <= 1 {
-                for (w, pi, st) in active.iter_mut() {
-                    let r = replay_tile_phase(
-                        *w,
-                        &workloads[*w],
-                        &decoded[*w],
-                        *pi,
-                        round_start,
-                        host.clone(),
-                        st,
-                        &em,
-                    );
-                    outcomes.push((*w, r));
-                }
-            } else {
-                for batch in active.chunks_mut(tile_threads) {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = batch
-                            .iter_mut()
-                            .map(|(w, pi, st)| {
-                                let (w, pi) = (*w, *pi);
-                                let host = host.clone();
-                                let wl = &workloads[w];
-                                let dec = &decoded[w];
-                                let em = &em;
-                                let st: &mut PerTile = st;
-                                scope.spawn(move || {
-                                    (
-                                        w,
-                                        replay_tile_phase(
-                                            w,
-                                            wl,
-                                            dec,
-                                            pi,
-                                            round_start,
-                                            host,
-                                            st,
-                                            em,
-                                        ),
-                                    )
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            // A tile-worker panic is a simulator bug;
-                            // re-raising lets the sweep's catch_unwind
-                            // type it as JobPanicked.
-                            // lint:allow-unwrap — re-raise worker panics
-                            let (w, r) = h.join().expect("tile worker panicked");
-                            outcomes.push((w, r));
-                        }
-                    });
-                }
-                // Join order already ascends, but the merge rule is (tile
-                // index, sequence) — make it structural, not incidental.
-                outcomes.sort_by_key(|(w, _)| *w);
-            }
-            drop(active);
-
-            // Arbitration point: commit the host-interaction logs to the
-            // authoritative host in canonical order. Energy and counters
-            // were attributed during speculative replay; the merge
-            // re-execution advances shared state only.
-            let mut logs: Vec<Vec<HostOp>> = (0..workloads.len()).map(|_| Vec::new()).collect();
-            for (w, r) in &mut outcomes {
-                logs[*w] = std::mem::take(&mut r.ops);
-            }
-            let mut scratch = EnergyLedger::new();
-            for (w, op) in SourceLogs::from_parts(logs).into_ordered() {
-                let pid = tile_pid(w);
-                let agent = tile_agent(w);
-                match op {
-                    HostOp::Access { block, kind, at } => {
-                        host.host_access(
-                            pid,
-                            block,
-                            kind,
-                            at,
-                            &mut scratch,
-                            &mut TilesView {
-                                tiles: &mut per,
-                                energy: &em,
-                            },
-                        );
-                    }
-                    HostOp::Fill { block, at } => {
-                        let fill = host.tile_fill_as(
-                            agent,
-                            pid,
-                            block,
-                            at,
-                            &mut scratch,
-                            &mut TilesView {
-                                tiles: &mut per,
-                                energy: &em,
-                            },
-                        );
-                        // Own-tile recalls were already applied during
-                        // speculative replay (the rmap entry is gone, so
-                        // re-application no-ops); cross-tile recalls
-                        // commit here.
-                        for rpa in fill.tile_recalls {
-                            TilesView {
-                                tiles: &mut per,
-                                energy: &em,
-                            }
-                            .handle_forward(
-                                agent,
-                                rpa,
-                                fill.data_at,
-                                &mut scratch,
-                            );
-                        }
-                    }
-                    HostOp::Evict { pid, block, dirty } => {
-                        host.tile_eviction_as(agent, pid, block, dirty, &mut scratch);
-                    }
-                }
-            }
-
-            now = barrier(outcomes.iter().map(|(_, r)| r.end));
-            ctl.check(now.value())?;
-            if cfg.checker.enabled {
-                if let Some(v) = host.checker_violation() {
-                    return Err(v.into());
-                }
-            }
-        }
-
+        let em = pool.em;
+        let mut host = pool
+            .auth
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut per: Vec<PerTile> = pool
+            .tiles
+            .into_iter()
+            .map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
         // Flush every tile (authoritative — charges land on the tiles'
         // own ledgers, in tile-index order).
         for (w, st) in per.iter_mut().enumerate() {
@@ -603,22 +759,22 @@ impl MultiTileSystem {
 
         Ok(workloads
             .iter()
-            .enumerate()
-            .map(|(w, wl)| SimResult {
+            .zip(per)
+            .map(|(wl, st)| SimResult {
                 system: "FUSION-MT",
                 workload: wl.name.clone(),
-                total_cycles: per[w].own_cycles,
+                total_cycles: st.own_cycles,
                 dma_cycles: 0,
-                ax_tlb_lookups: per[w].tlb_attr,
-                ax_rmap_lookups: per[w].rmap.lookups(),
-                host_forwards: per[w].fwd_attr,
+                ax_tlb_lookups: st.tlb_attr,
+                ax_rmap_lookups: st.rmap.lookups(),
+                host_forwards: st.fwd_attr,
                 dma_blocks: 0,
                 dma_transfers: 0,
-                l2_accesses: per[w].l2_attr,
-                energy: per[w].ledger.clone(),
-                phases: per[w].phases.clone(),
-                tile: Some(*per[w].tile.stats()),
-                latency: per[w].latency.clone(),
+                l2_accesses: st.l2_attr,
+                energy: st.ledger,
+                phases: st.phases,
+                tile: Some(*st.tile.stats()),
+                latency: st.latency,
                 metrics: Default::default(),
             })
             .collect())
@@ -683,6 +839,20 @@ mod tests {
         let results = MultiTileSystem::new(&SystemConfig::small()).run(&[a, b]);
         // Tracking's host phase pulls gradient planes out of its tile.
         assert!(results[1].ax_rmap_lookups > 0);
+    }
+
+    #[test]
+    fn helper_threads_are_bounded_by_tiles_and_threads() {
+        // Pure arithmetic: no thread is started for any of these.
+        assert_eq!(helper_threads(0, 7), 0);
+        assert_eq!(helper_threads(1, 7), 0);
+        assert_eq!(helper_threads(2, 7), 1);
+        assert_eq!(helper_threads(7, 7), 6);
+        assert_eq!(helper_threads(8, 7), 6);
+        assert_eq!(helper_threads(usize::MAX, 7), 6);
+        assert_eq!(helper_threads(usize::MAX, 1), 0);
+        assert_eq!(helper_threads(usize::MAX, usize::MAX), usize::MAX - 1);
+        assert_eq!(helper_threads(4, 0), 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub enum ReplacementPolicy {
 /// The paper tags the virtually-indexed L0X/L1X lines with process ids so
 /// accelerators from different processes can share a tile; a PID mismatch is
 /// treated as a miss even when the virtual tags collide.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Line<M> {
     /// Owning process.
     pub pid: Pid,
@@ -80,7 +80,42 @@ pub struct SetAssocCache<M> {
     evictions: u64,
 }
 
+impl<M: Copy> SetAssocCache<M> {
+    /// Makes set `set` an exact copy of the same set of `src` (lines,
+    /// order, stamps). Together with [`SetAssocCache::copy_scalars_from`]
+    /// this resyncs a copy of a cache by only the sets that may differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` has a different shape or `set` is out of range.
+    pub fn copy_set_from(&mut self, src: &Self, set: usize) {
+        assert_eq!(
+            (self.sets, self.ways),
+            (src.sets, src.ways),
+            "set copy between different cache shapes"
+        );
+        let range = set * self.ways..(set + 1) * self.ways;
+        self.slots[range.clone()].copy_from_slice(&src.slots[range]);
+        self.lens[set] = src.lens[set];
+    }
+}
+
 impl<M> SetAssocCache<M> {
+    /// Copies the cache-wide scalars of `src`: replacement clock, random
+    /// policy state and the hit/miss/eviction counters.
+    pub fn copy_scalars_from(&mut self, src: &Self) {
+        self.tick = src.tick;
+        self.rng_state = src.rng_state;
+        self.hits = src.hits;
+        self.misses = src.misses;
+        self.evictions = src.evictions;
+    }
+
+    /// Number of sets.
+    pub fn sets(&self) -> usize {
+        self.sets
+    }
+
     /// Creates an empty cache with the given geometry and policy.
     ///
     /// # Panics
@@ -607,6 +642,31 @@ mod tests {
         assert_eq!(c.set_index(b(128)), 0); // 128 sets
         assert_eq!(c.bank_index(b(3)), 3);
         assert_eq!(c.bank_index(b(19)), 3);
+    }
+
+    #[test]
+    fn set_copies_and_scalars_resync_a_diverged_copy() {
+        let mut auth: SetAssocCache<u32> = SetAssocCache::new(geom(512, 2), ReplacementPolicy::Lru);
+        for i in 0..6 {
+            auth.insert(P, b(i), i as u32, i % 2 == 0);
+        }
+        let mut copy = auth.clone();
+        // The copy diverges in set 1 (an eviction) and set 2 (a hit);
+        // the original in set 3.
+        copy.insert(P, b(9), 9, true);
+        copy.lookup(P, b(2));
+        auth.insert(P, b(7), 7, false);
+        for set in [1, 2, 3] {
+            copy.copy_set_from(&auth, set);
+        }
+        copy.copy_scalars_from(&auth);
+        assert_eq!(digest_of(&copy), digest_of(&auth));
+    }
+
+    fn digest_of(c: &SetAssocCache<u32>) -> (u64, u64) {
+        let mut h = fusion_sim::StateHasher::new();
+        fusion_sim::StateDigest::digest(c, &mut h);
+        h.finish128()
     }
 
     #[test]

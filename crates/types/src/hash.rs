@@ -3,9 +3,9 @@
 //! `std::HashMap`'s default `RandomState` (SipHash-1-3) is built to resist
 //! hash-flooding from untrusted input. Simulator keys — `(Pid, BlockAddr)`
 //! pairs, page numbers, physical block indices — are trusted and tiny, so
-//! the hot protocol maps (ACC `in_flight`/`forwards`, the v2p map, the
-//! page table, the AX-RMAP) pay SipHash's per-lookup cost for nothing,
-//! *and* lose cross-process determinism to the random seed.
+//! the hot protocol maps (ACC `in_flight`/`forwards`, the page table,
+//! the AX-RMAP) pay SipHash's per-lookup cost for nothing, *and* lose
+//! cross-process determinism to the random seed.
 //!
 //! [`FxHasher`] is the classic multiply-xor-rotate word hash used by
 //! compilers for exactly this workload: one rotate, one xor and one
