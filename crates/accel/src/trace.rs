@@ -169,7 +169,7 @@ impl Workload {
 /// (`addr / CACHE_BLOCK_BYTES`) and re-walking the `Vec<MemRef>` of every
 /// phase on each replay is pure overhead. The decoded trace stores exactly
 /// the per-reference fields the replay loops consume — containing block,
-/// access kind, issue gap and a set-index hint — in parallel vectors, with
+/// access kind and issue gap — in parallel vectors, with
 /// per-phase offsets and op-count prefix sums alongside, so all systems and
 /// configurations of a sweep stream the same cache-friendly arrays.
 ///
@@ -182,7 +182,6 @@ pub struct DecodedTrace {
     blocks: Vec<BlockAddr>,
     kinds: Vec<AccessKind>,
     gaps: Vec<u16>,
-    set_hints: Vec<u32>,
     // phase_offsets[i]..phase_offsets[i+1] is phase i's range; len = phases+1.
     phase_offsets: Vec<usize>,
     // op_prefix[i] = summed op counts of phases 0..i; len = phases+1.
@@ -200,7 +199,6 @@ impl Clone for DecodedTrace {
             blocks: self.blocks.clone(),
             kinds: self.kinds.clone(),
             gaps: self.gaps.clone(),
-            set_hints: self.set_hints.clone(),
             phase_offsets: self.phase_offsets.clone(),
             op_prefix: self.op_prefix.clone(),
             kind_runs: self.kind_runs.clone(),
@@ -237,13 +235,21 @@ impl KindRun {
 /// Clips phase-local `runs` to the window `[lo, hi)` and rebases them to
 /// window-local positions — the SCRATCH replay slices each oracle DMA
 /// window out of its phase and indexes from the window start.
+///
+/// `runs` must be sorted, contiguous and non-empty (as
+/// [`DecodedTrace::phase_kind_runs`] yields them), so the first run that
+/// overlaps the window is found by binary search and the scan stops at the
+/// first run past it: a window costs O(log runs + runs it overlaps), not
+/// O(runs), which keeps a phase's windows linear in total.
 pub fn clip_kind_runs(
     runs: &[KindRun],
     lo: usize,
     hi: usize,
 ) -> impl Iterator<Item = KindRun> + '_ {
-    runs.iter()
-        .filter(move |r| r.end() > lo && r.start < hi)
+    let first = runs.partition_point(|r| r.end() <= lo);
+    runs[first..]
+        .iter()
+        .take_while(move |r| r.start < hi)
         .map(move |r| {
             let s = r.start.max(lo);
             let e = r.end().min(hi);
@@ -279,7 +285,6 @@ impl DecodedTrace {
         let mut blocks = Vec::with_capacity(total);
         let mut kinds = Vec::with_capacity(total);
         let mut gaps = Vec::with_capacity(total);
-        let mut set_hints = Vec::with_capacity(total);
         let mut phase_offsets = Vec::with_capacity(workload.phases.len() + 1);
         let mut op_prefix = Vec::with_capacity(workload.phases.len() + 1);
         phase_offsets.push(0);
@@ -294,9 +299,6 @@ impl DecodedTrace {
                 blocks.push(b);
                 kinds.push(r.kind);
                 gaps.push(r.gap);
-                // The low bits of the block index: any power-of-two cache
-                // recovers its set index by masking this hint.
-                set_hints.push(b.index() as u32);
             }
             // Run-length-encode the phase's kinds into maximal same-kind
             // chunks (phase-local positions).
@@ -322,7 +324,6 @@ impl DecodedTrace {
             blocks,
             kinds,
             gaps,
-            set_hints,
             phase_offsets,
             op_prefix,
             kind_runs,
@@ -405,7 +406,6 @@ impl DecodedTrace {
             blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
-            set_hints: &self.set_hints[lo..hi],
         }
     }
 
@@ -441,8 +441,6 @@ pub struct DecodedPhase<'a> {
     pub kinds: &'a [AccessKind],
     /// Compute gap preceding each reference.
     pub gaps: &'a [u16],
-    /// Low 32 bits of each block index (mask for a power-of-two set count).
-    pub set_hints: &'a [u32],
 }
 
 impl<'a> DecodedPhase<'a> {
@@ -466,7 +464,6 @@ impl<'a> DecodedPhase<'a> {
             blocks: &self.blocks[lo..hi],
             kinds: &self.kinds[lo..hi],
             gaps: &self.gaps[lo..hi],
-            set_hints: &self.set_hints[lo..hi],
         }
     }
 }
@@ -580,7 +577,6 @@ mod tests {
                 assert_eq!(dp.blocks[j], mr.block());
                 assert_eq!(dp.kinds[j], mr.kind);
                 assert_eq!(dp.gaps[j], mr.gap);
-                assert_eq!(dp.set_hints[j], mr.block().index() as u32);
             }
             assert_eq!(d.phase_ops(i), p.ops);
         }
@@ -639,5 +635,76 @@ mod tests {
             fp_ops: 4,
         };
         assert_eq!((a + b).total(), 10);
+    }
+
+    /// The linear filter `clip_kind_runs` replaced, kept as its reference.
+    fn clip_kind_runs_linear(runs: &[KindRun], lo: usize, hi: usize) -> Vec<KindRun> {
+        runs.iter()
+            .filter(|r| r.end() > lo && r.start < hi)
+            .map(|r| {
+                let s = r.start.max(lo);
+                let e = r.end().min(hi);
+                KindRun {
+                    start: s - lo,
+                    len: e - s,
+                    is_write: r.is_write,
+                }
+            })
+            .collect()
+    }
+
+    /// splitmix64 step: a seeded stream for the equivalence sweep below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn clip_kind_runs_matches_the_linear_filter() {
+        let mut rng = 0x5eed_u64;
+        for _ in 0..300 {
+            // A random tiling of [0, len): sorted, contiguous, non-empty
+            // runs of alternating kind, as decode produces them.
+            let mut runs = Vec::new();
+            let mut pos = 0usize;
+            let mut is_write = next(&mut rng) & 1 == 1;
+            for _ in 0..1 + next(&mut rng) % 12 {
+                let len = 1 + (next(&mut rng) % 6) as usize;
+                runs.push(KindRun {
+                    start: pos,
+                    len,
+                    is_write,
+                });
+                pos += len;
+                is_write = !is_write;
+            }
+            let total = pos;
+            let mut windows = vec![(0, total), (0, 0), (total, total)];
+            // Every run's bounds, and one position inside it, as window
+            // edges: boundaries inside a run, first and last runs.
+            for r in &runs {
+                windows.push((r.start, r.end()));
+                windows.push((r.start, r.start));
+                windows.push((r.start + r.len / 2, total));
+                windows.push((0, r.start + r.len / 2));
+            }
+            for _ in 0..20 {
+                let lo = (next(&mut rng) % (total as u64 + 1)) as usize;
+                let hi = lo + (next(&mut rng) % (total - lo + 1) as u64) as usize;
+                windows.push((lo, hi));
+            }
+            for (lo, hi) in windows {
+                let fast: Vec<KindRun> = clip_kind_runs(&runs, lo, hi).collect();
+                assert_eq!(
+                    fast,
+                    clip_kind_runs_linear(&runs, lo, hi),
+                    "window [{lo}, {hi}) over {runs:?}"
+                );
+            }
+        }
+        assert_eq!(clip_kind_runs(&[], 0, 0).count(), 0);
     }
 }

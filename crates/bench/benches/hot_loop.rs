@@ -46,9 +46,9 @@ fn bench(c: &mut Criterion) {
                     mlp,
                     Cycle::ZERO,
                     |i, now| {
-                        // Same memory model; exercise the set-index hints
-                        // the sweep's cache lookups consume.
-                        std::hint::black_box(dp.set_hints[i] & 0x7f);
+                        // Same memory model; read the block lane the
+                        // sweep's cache lookups consume.
+                        std::hint::black_box(dp.blocks[i]);
                         now + 4 + (dp.kinds[i].is_write() as u64)
                     },
                 );

@@ -87,6 +87,10 @@ pub struct HostSide {
     // `page_table.lookup` at eviction time recovers exactly the fill's
     // `pa`.
     host_forwards: u64,
+    // Tile-fill link timings on the L1X-L2 link (request message, 64 B
+    // data response): run constants of `cfg`, computed once.
+    fill_req_cycles: u64,
+    fill_data_cycles: u64,
 }
 
 impl HostSide {
@@ -109,6 +113,8 @@ impl HostSide {
             ax_tlb: Tlb::new(32),
             nuca: NucaRing::table2(),
             host_forwards: 0,
+            fill_req_cycles: cfg.link_l1x_l2.transfer_cycles(cfg.control_message_bytes),
+            fill_data_cycles: cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64),
         }
     }
 
@@ -324,11 +330,7 @@ impl HostSide {
             self.energy.link_l1x_l2_pj_per_byte,
             self.cfg.control_message_bytes,
         );
-        let req_at = now
-            + self
-                .cfg
-                .link_l1x_l2
-                .transfer_cycles(self.cfg.control_message_bytes);
+        let req_at = now + self.fill_req_cycles;
         let (ready, tile_recalls) =
             self.l2_request(agent, pa, MesiReq::GetX, req_at, ledger, Some(tile));
         ledger.charge_bytes(
@@ -336,11 +338,7 @@ impl HostSide {
             self.energy.link_l1x_l2_pj_per_byte,
             CACHE_BLOCK_BYTES as u64,
         );
-        let data_at = ready
-            + self
-                .cfg
-                .link_l1x_l2
-                .transfer_cycles(CACHE_BLOCK_BYTES as u64);
+        let data_at = ready + self.fill_data_cycles;
         TileFill {
             data_at,
             pa,

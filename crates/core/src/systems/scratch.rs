@@ -118,6 +118,10 @@ impl ScratchSystem {
         // stage) skip it entirely.
         let all_windows = decoded.dma_windows(workload, cap_blocks);
         let pid = workload.pid;
+        // One scratchpad for the run: `drain_dirty` empties it at the end
+        // of every window, so each window starts from an empty RAM while
+        // reusing the residency map's allocation.
+        let mut sp = Scratchpad::new(cfg.scratchpad.capacity_bytes);
 
         for (phase_idx, phase) in workload.phases.iter().enumerate() {
             let start = now;
@@ -150,7 +154,7 @@ impl ScratchSystem {
                 for w in windows {
                     // DMA-in: stage the window's read data.
                     let t0 = now;
-                    let mut sp = Scratchpad::new(cfg.scratchpad.capacity_bytes);
+                    debug_assert_eq!(sp.resident_blocks(), 0, "window starts empty");
                     let tr = dma.transfer(&w.dma_in, DmaDirection::In, now, |b, at| {
                         host.dma_read_block(pid, b, at, &mut ledger, &mut NoTile)
                     });

@@ -153,6 +153,12 @@ impl SharedSystem {
         let mut in_flight: fusion_types::hash::FxHashMap<BlockAddr, Cycle> =
             fusion_types::hash::FxHashMap::default();
         let word = cfg.control_message_bytes;
+        // Link timings are run constants: computed once here rather than
+        // per reference (each is a division by the link width).
+        let word_axc_l1x = cfg.link_axc_l1x.transfer_cycles(word);
+        let word_l1x_l2 = cfg.link_l1x_l2.transfer_cycles(word);
+        let flit_l1x_l2 = cfg.link_l1x_l2.transfer_cycles(8);
+        let line_l1x_l2 = cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64);
         // Entry-state digest: every mutable structure of the replay below
         // (`in_flight` is empty by construction, so its length suffices;
         // the `SharedL1x` energy table is config-derived and covered by
@@ -214,7 +220,7 @@ impl SharedSystem {
                         // Critical-path translation (shared, core-style view).
                         let pa = host.shared_tlb_translate(pid, dp.blocks[j], &mut ledger);
                         let pblock = SharedL1x::pblock(pa);
-                        let arb = at + cfg.link_axc_l1x.transfer_cycles(word);
+                        let arb = at + word_axc_l1x;
                         let bank_start = banks.issue(pblock, arb);
                         ledger.charge(Component::L1x, em.l1x_access);
                         let mut ready = bank_start + cfg.l1x.latency;
@@ -256,7 +262,7 @@ impl SharedSystem {
                                 em.link_l1x_l2_pj_per_byte,
                                 word,
                             );
-                            let req_at = ready + cfg.link_l1x_l2.transfer_cycles(word);
+                            let req_at = ready + word_l1x_l2;
                             let (l2_ready, recalls) =
                                 host.mesi_request_from_tile(pa, req, req_at, &mut ledger);
                             for rpa in recalls {
@@ -282,13 +288,12 @@ impl SharedSystem {
                             // An upgrade already holds the data: only the
                             // ownership acknowledgement comes back.
                             let fill_full = if !is_upgrade {
-                                let full = l2_ready
-                                    + cfg.link_l1x_l2.transfer_cycles(CACHE_BLOCK_BYTES as u64);
-                                ready = l2_ready + cfg.link_l1x_l2.transfer_cycles(8);
+                                let full = l2_ready + line_l1x_l2;
+                                ready = l2_ready + flit_l1x_l2;
                                 in_flight.insert(pblock, full);
                                 full
                             } else {
-                                ready = l2_ready + cfg.link_l1x_l2.transfer_cycles(8);
+                                ready = l2_ready + flit_l1x_l2;
                                 prev_fill
                             };
                             // A GetS with no other sharer is granted E: the
@@ -314,7 +319,7 @@ impl SharedSystem {
                             em.link_axc_l1x_pj_per_byte,
                             word,
                         );
-                        let done = ready + cfg.link_axc_l1x.transfer_cycles(word);
+                        let done = ready + word_axc_l1x;
                         latency.record(done - at);
                         done
                     },

@@ -130,6 +130,7 @@ impl DmaController {
             };
         }
         self.transfers += 1;
+        let xfer = self.link.transfer_cycles(CACHE_BLOCK_BYTES as u64);
         let mut link_free = start;
         let mut done = start;
         for (i, &b) in blocks.iter().enumerate() {
@@ -145,7 +146,6 @@ impl DmaController {
             };
             self.state = DmaState::Transfer;
             let begin = ready.max(link_free);
-            let xfer = self.link.transfer_cycles(CACHE_BLOCK_BYTES as u64);
             link_free = begin + xfer + self.port_occupancy;
             let landed = match direction {
                 DmaDirection::In => link_free,
